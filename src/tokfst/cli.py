@@ -154,6 +154,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_len", 0) < 0:
+            parser.error("argument --max-len: must not be negative")
         if args.command == "promote":
             return _cmd_promote(args, parser)
         if args.command == "tokenize":

@@ -25,20 +25,12 @@ class PatternSyntaxError(TokfstError):
         self.offset = offset
 
 
-class InputError(TokfstError):
-    """An input string contains characters outside the vocabulary."""
-
-
 class EnumerationError(TokfstError):
     """Bounded language enumeration exceeded its path budget."""
 
     def __init__(self, message: str, partial_count: int):
         super().__init__(message)
         self.partial_count = partial_count
-
-
-class PromotionError(TokfstError):
-    """A promotion pipeline produced a machine violating its contract."""
 
 
 class ConstraintError(TokfstError):

@@ -15,7 +15,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import AlphabetError, ValidationError
 from .fst import Dfa, Fst
 from .symbols import SymbolTable
 from .tokenizers import BpeTokenizer, Vocabulary
@@ -110,7 +110,7 @@ def load_automaton(path: str | Path) -> Dfa:
 
     try:
         table = SymbolTable(tuple(symbols))
-    except ValueError as exc:
+    except AlphabetError as exc:
         raise ValidationError(f"{path}: symbols: {exc}") from exc
     try:
         return Dfa(

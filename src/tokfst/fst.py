@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, EnumerationError
-from .symbols import EPSILON, FAILURE, SymbolTable
+from .symbols import EPSILON, FAILURE, RESERVED, SymbolTable
 
 
 class Transition(NamedTuple):
@@ -39,6 +39,8 @@ class Fst:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
+        """Check a machine given by a caller; operations build theirs through
+        `_trusted` instead, because valid operands yield valid results."""
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(
             self, "transitions", tuple(Transition(*t) for t in self.transitions)
@@ -50,19 +52,41 @@ class Fst:
         for q in self.finals:
             if not 0 <= q < self.num_states:
                 raise ValueError(f"final state {q} out of range")
+        end = RESERVED + len(self.table)
+        deterministic = isinstance(self, Dfa)
         seen_failure = set()
-        valid = self.table.token_ids()
+        seen_label: set[tuple[int, int]] = set()
         for t in self.transitions:
             if not (0 <= t.src < self.num_states and 0 <= t.dst < self.num_states):
                 raise ValueError(f"transition {t} references a missing state")
-            if t.inp != EPSILON and t.inp != FAILURE and t.inp not in valid:
+            if t.inp != EPSILON and t.inp != FAILURE and not RESERVED <= t.inp < end:
                 raise ValueError(f"transition {t} has an unknown input symbol")
-            if t.out == FAILURE or (t.out != EPSILON and t.out not in valid):
+            if t.out == FAILURE or (t.out != EPSILON and not RESERVED <= t.out < end):
                 raise ValueError(f"transition {t} has an invalid output symbol")
             if t.inp == FAILURE:
                 if t.src in seen_failure:
                     raise ValueError(f"state {t.src} has more than one failure arc")
                 seen_failure.add(t.src)
+            if not deterministic:
+                continue
+            if t.inp in (EPSILON, FAILURE):
+                raise ValueError(f"transition {t} is not allowed in a deterministic acceptor")
+            if t.inp != t.out:
+                raise ValueError(f"transition {t} is not an acceptor arc")
+            if (t.src, t.inp) in seen_label:
+                raise ValueError(f"state {t.src} has two arcs on symbol {t.inp}")
+            seen_label.add((t.src, t.inp))
+
+    @classmethod
+    def _trusted(cls, table, num_states, start, finals, transitions):
+        """Store the fields unchecked: for results derived from valid machines,
+        with `finals` a frozenset and `transitions` a tuple of Transitions."""
+        m = object.__new__(cls)
+        m.__dict__.update(
+            table=table, num_states=num_states, start=start,
+            finals=finals, transitions=transitions,
+        )
+        return m
 
     @cached_property
     def _by_src(self) -> dict[int, tuple[Transition, ...]]:
@@ -80,29 +104,10 @@ class Fst:
             t.inp for t in self.transitions if t.inp not in (EPSILON, FAILURE)
         )
 
-    @cached_property
-    def output_alphabet(self) -> frozenset[int]:
-        return frozenset(t.out for t in self.transitions if t.out != EPSILON)
-
-    def is_acceptor(self) -> bool:
-        return all(t.inp == t.out for t in self.transitions)
-
 
 @dataclass(frozen=True)
 class Dfa(Fst):
     """An acceptor with no epsilon/failure arcs and at most one arc per symbol."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        seen: set[tuple[int, int]] = set()
-        for t in self.transitions:
-            if t.inp in (EPSILON, FAILURE):
-                raise ValueError(f"transition {t} is not allowed in a deterministic acceptor")
-            if t.inp != t.out:
-                raise ValueError(f"transition {t} is not an acceptor arc")
-            if (t.src, t.inp) in seen:
-                raise ValueError(f"state {t.src} has two arcs on symbol {t.inp}")
-            seen.add((t.src, t.inp))
 
     @classmethod
     def from_fst(cls, a: Fst) -> "Dfa":
@@ -249,7 +254,7 @@ def compose(left: Fst, right: Fst) -> Fst:
                 dst = state_id(("f", l, fail.dst, walked))
                 arcs.add(Transition(src, EPSILON, fail.out, dst))
 
-    return Fst(left.table, len(order), 0, frozenset(finals), tuple(sorted(arcs)))
+    return Fst._trusted(left.table, len(order), 0, frozenset(finals), tuple(sorted(arcs)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +264,7 @@ def compose(left: Fst, right: Fst) -> Fst:
 def project_output(t: Fst) -> Fst:
     """Keep only the output side: every arc (q, i, o, p) becomes (q, o, o, p)."""
     arcs = tuple(Transition(a.src, a.out, a.out, a.dst) for a in t.transitions)
-    return Fst(t.table, t.num_states, t.start, t.finals, arcs)
+    return Fst._trusted(t.table, t.num_states, t.start, t.finals, arcs)
 
 
 def epsilon_remove(a: Fst) -> Fst:
@@ -298,7 +303,7 @@ def epsilon_remove(a: Fst) -> Fst:
             for t in a.arcs_from(r):
                 if t.inp != EPSILON:
                     arcs.add(Transition(q, t.inp, t.out, t.dst))
-    return Fst(a.table, a.num_states, a.start, frozenset(finals), tuple(sorted(arcs)))
+    return Fst._trusted(a.table, a.num_states, a.start, frozenset(finals), tuple(sorted(arcs)))
 
 
 def determinize(a: Fst) -> Dfa:
@@ -333,7 +338,7 @@ def determinize(a: Fst) -> Dfa:
         for sym in sorted(targets):
             dst = subset_id(tuple(sorted(targets[sym])))
             arcs.append(Transition(src, sym, sym, dst))
-    return Dfa(a.table, len(order), 0, frozenset(finals), tuple(sorted(arcs)))
+    return Dfa._trusted(a.table, len(order), 0, frozenset(finals), tuple(sorted(arcs)))
 
 
 def trim(a: Fst) -> Fst:
@@ -360,7 +365,7 @@ def trim(a: Fst) -> Fst:
 
     live = reach([a.start], fwd) & reach(a.finals, bwd)
     if a.start not in live:
-        return type(a)(a.table, 1, 0, frozenset(), ())
+        return type(a)._trusted(a.table, 1, 0, frozenset(), ())
     renum = {q: i for i, q in enumerate(sorted(live))}
     arcs = tuple(
         Transition(renum[t.src], t.inp, t.out, renum[t.dst])
@@ -368,7 +373,7 @@ def trim(a: Fst) -> Fst:
         if t.src in live and t.dst in live
     )
     finals = frozenset(renum[q] for q in a.finals if q in live)
-    return type(a)(a.table, len(live), renum[a.start], finals, tuple(sorted(arcs)))
+    return type(a)._trusted(a.table, len(live), renum[a.start], finals, tuple(sorted(arcs)))
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -381,7 +386,7 @@ def minimize(d: Dfa) -> Dfa:
         d = Dfa.from_fst(d)
     t = trim(d)
     if not t.finals:
-        return Dfa(t.table, 1, 0, frozenset(), ())
+        return Dfa._trusted(t.table, 1, 0, frozenset(), ())
 
     block = [0 if q in t.finals else 1 for q in range(t.num_states)]
     while True:
@@ -408,7 +413,7 @@ def minimize(d: Dfa) -> Dfa:
         for a in t.transitions
     }
     finals = frozenset(renum[block[q]] for q in t.finals)
-    return Dfa(t.table, len(renum), renum[block[t.start]], finals, tuple(sorted(arcs)))
+    return Dfa._trusted(t.table, len(renum), renum[block[t.start]], finals, tuple(sorted(arcs)))
 
 
 def kleene_star_closure(t: Fst) -> Fst:
@@ -418,7 +423,7 @@ def kleene_star_closure(t: Fst) -> Fst:
     arcs = list(t.transitions)
     for q in sorted(t.finals):
         arcs.append(Transition(q, EPSILON, EPSILON, t.start))
-    return Fst(t.table, t.num_states, t.start, t.finals | {t.start}, tuple(arcs))
+    return Fst._trusted(t.table, t.num_states, t.start, t.finals | {t.start}, tuple(arcs))
 
 
 def canonical_form(d: Dfa) -> Dfa:
@@ -443,7 +448,7 @@ def canonical_form(d: Dfa) -> Dfa:
         )
     )
     finals = frozenset(renum[q] for q in d.finals if q in renum)
-    return Dfa(d.table, len(renum), 0, finals, arcs)
+    return Dfa._trusted(d.table, len(renum), 0, finals, arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -63,13 +63,6 @@ def build_lexicon_transducer(v: Vocabulary) -> Fst:
     for token in table.tokens:
         arcs.append(Transition(ids[token], EPSILON, table.id(token), sink))
 
-    seen = set()
-    for t in arcs:
-        if t.inp != EPSILON:
-            if (t.src, t.inp) in seen:  # a trie cannot produce this
-                raise ValueError(f"lexicon trie has duplicate arc at {t}")
-            seen.add((t.src, t.inp))
-
     single = Fst(table, sink + 1, 0, frozenset([sink]), tuple(arcs))
     return kleene_star_closure(single)
 

@@ -1,8 +1,9 @@
 """Character-level regular expressions compiled to minimal deterministic acceptors.
 
 Supported syntax: literals, `.` (any single character in the alphabet),
-character classes `[abc]` / `[a-z]` / negated `[^...]`, grouping `(...)`,
-alternation `|`, and the postfix quantifiers `*`, `+`, `?`.
+character classes `[abc]` / `[a-z]` / negated `[^...]`, grouping `(...)`
+nested at most MAX_GROUP_DEPTH deep, alternation `|`, and the postfix
+quantifiers `*`, `+`, `?`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from .errors import AlphabetError, PatternSyntaxError
 from .fst import Dfa, Fst, Transition, determinize, epsilon_remove, minimize
 from .symbols import EPSILON, SymbolTable
 
-_QUANTIFIERS = "*+?"
-_META = "|()[]" + _QUANTIFIERS
+_QUANTIFIERS = ("*", "+", "?")
+MAX_GROUP_DEPTH = 100  # deeper nesting is a syntax error, not a RecursionError
 
 
 # -- AST ---------------------------------------------------------------------
@@ -59,6 +60,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> PatternSyntaxError:
         return PatternSyntaxError(message, self.pos)
@@ -93,27 +95,33 @@ class _Parser:
         return Concat(tuple(parts))
 
     def repeat(self):
+        """An atom and its quantifiers. Stacked quantifiers fold into one
+        Repeat (minimum counts multiply, unboundedness ors), so a*+? is a*
+        and the tree stays shallow."""
         node = self.atom()
-        while self.peek() in ("*", "+", "?"):
+        if self.peek() not in _QUANTIFIERS:
+            return node
+        min_count, unbounded = 1, False
+        while self.peek() in _QUANTIFIERS:
             op = self.take()
-            if op == "*":
-                node = Repeat(node, 0, True)
-            elif op == "+":
-                node = Repeat(node, 1, True)
-            else:
-                node = Repeat(node, 0, False)
-        return node
+            min_count *= 1 if op == "+" else 0
+            unbounded = unbounded or op != "?"
+        return Repeat(node, min_count, unbounded)
 
     def atom(self):
         ch = self.peek()
         if ch is None:
             raise self.error("pattern ended where an atom was expected")
         if ch == "(":
+            if self.depth == MAX_GROUP_DEPTH:
+                raise self.error(f"groups nested deeper than {MAX_GROUP_DEPTH}")
             self.take()
+            self.depth += 1
             node = self.alternation()
             if self.peek() != ")":
                 raise self.error("unclosed group")
             self.take()
+            self.depth -= 1
             return node
         if ch == "[":
             return self.char_class()

@@ -80,7 +80,10 @@ def _stage(label: str, machine: Fst) -> tuple[Dfa, StageStats]:
     started = time.perf_counter()
     acc = epsilon_remove(project_output(machine))
     deterministic = is_deterministic(acc)
-    d = Dfa.from_fst(acc) if deterministic else determinize(acc)
+    if deterministic:
+        d = Dfa._trusted(acc.table, acc.num_states, acc.start, acc.finals, acc.transitions)
+    else:
+        d = determinize(acc)
     d = minimize(d)
     stats = StageStats(
         label, d.num_states, len(d.transitions), time.perf_counter() - started, deterministic
@@ -167,9 +170,7 @@ def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:
         gadget = build_merge_gadget(pair, frozenset(alphabet), table)
         machine = compose(machine, gadget.fst)
         alphabet.add(gadget.result)
-    acc = epsilon_remove(project_output(machine))
-    d = Dfa.from_fst(acc) if is_deterministic(acc) else determinize(acc)
-    return minimize(d)
+    return _stage("chained", machine)[0]
 
 
 # ---------------------------------------------------------------------------

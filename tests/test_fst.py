@@ -83,6 +83,32 @@ def test_dfa_from_fst():
         Dfa.from_fst(nondet)
 
 
+def test_operations_trust_valid_operands(monkeypatch):
+    # only construction from caller-given arcs validates; derived machines skip it
+    left = Fst(AB, 3, 0, frozenset({2}), (
+        Transition(0, A, EPSILON, 1),
+        Transition(1, B, A, 2),
+        Transition(1, B, B, 2),
+    ))
+    right = kleene_star_closure(line_dfa(AB, (A,)))
+    calls = []
+    validate = Fst.__post_init__
+
+    def counted(self):
+        calls.append(type(self))
+        validate(self)
+
+    monkeypatch.setattr(Fst, "__post_init__", counted)
+    out = canonical_form(minimize(determinize(epsilon_remove(project_output(
+        compose(left, right))))))
+    assert enumerate_language(out, 2) == {(A,)}
+    assert calls == []
+    nondet = Fst(AB, 3, 0, frozenset({1}), (Transition(0, A, A, 1), Transition(0, A, A, 2)))
+    with pytest.raises(ValueError):
+        Dfa.from_fst(nondet)
+    assert calls == [Fst, Dfa]
+
+
 # ---------------------------------------------------------------------------
 # acceptance with failure arcs
 

@@ -137,6 +137,10 @@ def test_saved_form_is_stable_and_readable(tmp_path):
     ('{"symbols": ["a"], "num_states": 1, "start": "x", "finals": [0],'
      ' "transitions": []}', "expected integers"),
     ('not json', "not valid JSON"),
+    ('{"symbols": ["a", "a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": []}', "symbols: duplicate token 'a'"),
+    ('{"symbols": ["a"], "num_states": 2, "start": 0, "finals": [1],'
+     ' "transitions": [[0, 3, 3, 1]]}', "unknown input symbol"),
 ])
 def test_load_automaton_rejects_corruption(tmp_path, doc, fragment):
     path = tmp_path / "m.json"
@@ -282,3 +286,11 @@ def test_cli_usage_exits(workdir, capsys):
     assert run_cli(capsys, "tokenize", "--mode", "bpe",
                    "--vocab", workdir / "fig3v.txt", "--input", "x")[0] == 2
     assert run_cli(capsys)[0] == 2
+    # a negative length bound is a usage error, not a long or wrong run
+    code, _, err = run_cli(capsys, "enumerate", "--automaton",
+                           workdir / "missing.json", "--max-len", "-1")
+    assert code == 2
+    assert "--max-len" in err
+    code, out, _ = run_cli(capsys, "check", "--pattern", "a", "--vocab",
+                           workdir / "race.txt", "--mode", "agnostic", "--max-len", "-1")
+    assert (code, out) == (2, "")

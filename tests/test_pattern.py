@@ -92,12 +92,22 @@ def test_unknown_character_is_an_alphabet_error():
     ("a|*b", 2),
     ("[z-a]", 4),
     ("[", 1),
+    ("(" * 101 + "a" + ")" * 101, 100),
+    ("a|" + "(" * 500 + "a" + ")" * 500, 102),
 ])
 def test_syntax_errors_carry_offsets(text, offset):
     with pytest.raises(PatternSyntaxError) as info:
         parse_pattern(text)
     assert info.value.offset == offset
     assert f"offset {offset}" in str(info.value)
+
+
+def test_stacked_quantifiers_fold():
+    star = canonical_form(compile_pattern("a*", AB))
+    for text in ("a*+?", "a?+", "a+*", "a" + "*" * 3000):
+        assert canonical_form(compile_pattern(text, AB)) == star
+    assert canonical_form(compile_pattern("a??", AB)) == canonical_form(
+        compile_pattern("a?", AB))
 
 
 def test_compiled_output_is_minimal_and_deterministic():
