@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import ConfigError, EnumerationError
 from .symbols import EPSILON, FAILURE, RESERVED, SymbolTable
@@ -78,14 +78,17 @@ class Fst:
             seen_label.add((t.src, t.inp))
 
     @classmethod
-    def _trusted(cls, table, num_states, start, finals, transitions):
+    def _trusted(cls, table, num_states, start, finals, transitions, *, trim=False):
         """Store the fields unchecked: for results derived from valid machines,
-        with `finals` a frozenset and `transitions` a tuple of Transitions."""
+        with `finals` a frozenset and `transitions` a tuple of Transitions.
+        `trim=True` records a machine built trim, so `_live` needs no walk."""
         m = object.__new__(cls)
         m.__dict__.update(
             table=table, num_states=num_states, start=start,
             finals=finals, transitions=transitions,
         )
+        if trim:
+            m.__dict__["_live"] = range(num_states) if finals else frozenset()
         return m
 
     @cached_property
@@ -97,6 +100,25 @@ class Fst:
 
     def arcs_from(self, state: int) -> tuple[Transition, ...]:
         return self._by_src.get(state, ())
+
+    @cached_property
+    def _eps_next(self) -> dict[int, list[int]]:
+        """Targets of each state's epsilon-input arcs."""
+        nxt: dict[int, list[int]] = defaultdict(list)
+        for t in self.transitions:
+            if t.inp == EPSILON:
+                nxt[t.src].append(t.dst)
+        return dict(nxt)
+
+    @cached_property
+    def _live(self) -> Collection[int]:
+        """States reachable from the start that can also reach a final state."""
+        fwd: dict[int, list[int]] = defaultdict(list)
+        bwd: dict[int, list[int]] = defaultdict(list)
+        for t in self.transitions:
+            fwd[t.src].append(t.dst)
+            bwd[t.dst].append(t.src)
+        return _reach([self.start], fwd) & _reach(self.finals, bwd)
 
     @cached_property
     def input_alphabet(self) -> frozenset[int]:
@@ -124,6 +146,18 @@ def is_deterministic(a: Fst) -> bool:
             return False
         seen.add((t.src, t.inp))
     return True
+
+
+def _reach(roots: Iterable[int], edges: Mapping[int, Iterable[int]]) -> set[int]:
+    """The roots and every state reachable from them along `edges`."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -165,34 +199,18 @@ def compose(left: Fst, right: Fst) -> Fst:
         else:
             r_sym[t.src][t.inp].append(t)
 
-    # silent-closure of a left state: everything reachable emitting nothing
-    silent_cache: dict[int, frozenset[int]] = {}
-
-    def silent(l: int) -> frozenset[int]:
-        if l not in silent_cache:
-            seen = {l}
-            stack = [l]
-            while stack:
-                for t in left.arcs_from(stack.pop()):
-                    if t.out == EPSILON and t.dst not in seen:
-                        seen.add(t.dst)
-                        stack.append(t.dst)
-            silent_cache[l] = frozenset(seen)
-        return silent_cache[l]
-
-    def emittable(l: int) -> frozenset[int]:
-        return frozenset(
-            t.out for q in silent(l) for t in left.arcs_from(q) if t.out != EPSILON
-        )
-
-    def endable(l: int) -> bool:
-        return any(q in left.finals for q in silent(l))
+    # left moves that emit nothing; a failure chain looks through them
+    silent_next: dict[int, list[int]] = defaultdict(list)
+    for t in left.transitions:
+        if t.out == EPSILON:
+            silent_next[t.src].append(t.dst)
 
     def chain_viable(l: int, r: int, blocked: frozenset[int]) -> bool:
         # Can a failure chain at right-state r ever consume a label the left
         # machine still emits, or land on finality for both sides?
-        can_emit = emittable(l)
-        can_end = endable(l)
+        silent = _reach([l], silent_next)
+        can_emit = {t.out for q in silent for t in left.arcs_from(q) if t.out != EPSILON}
+        can_end = not left.finals.isdisjoint(silent)
         seen = set()
         while r not in seen:
             seen.add(r)
@@ -274,29 +292,10 @@ def epsilon_remove(a: Fst) -> Fst:
     may be nondeterministic.
     """
     _require_acceptor(a, "epsilon_remove")
-    eps_next: dict[int, set[int]] = defaultdict(set)
-    for t in a.transitions:
-        if t.inp == EPSILON:
-            eps_next[t.src].add(t.dst)
-
-    closures: dict[int, frozenset[int]] = {}
-
-    def closure(q: int) -> frozenset[int]:
-        if q not in closures:
-            seen = {q}
-            stack = [q]
-            while stack:
-                for nxt in eps_next.get(stack.pop(), ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            closures[q] = frozenset(seen)
-        return closures[q]
-
     arcs: set[Transition] = set()
     finals: set[int] = set()
     for q in range(a.num_states):
-        reach = closure(q)
+        reach = _reach([q], a._eps_next)
         if reach & a.finals:
             finals.add(q)
         for r in reach:
@@ -345,48 +344,38 @@ def trim(a: Fst) -> Fst:
     """Drop states that are unreachable from the start or cannot reach a final.
 
     A machine whose language is empty collapses to a single non-final start
-    state with no arcs.
+    state with no arcs. A machine that is already trim, the collapsed one
+    included, is returned as it is.
     """
-    fwd: dict[int, set[int]] = defaultdict(set)
-    bwd: dict[int, set[int]] = defaultdict(set)
-    for t in a.transitions:
-        fwd[t.src].add(t.dst)
-        bwd[t.dst].add(t.src)
-
-    def reach(roots: Iterable[int], edges: dict[int, set[int]]) -> set[int]:
-        seen = set(roots)
-        stack = list(seen)
-        while stack:
-            for nxt in edges.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    live = reach([a.start], fwd) & reach(a.finals, bwd)
+    live = a._live
+    if len(live) == a.num_states:
+        return a
     if a.start not in live:
-        return type(a)._trusted(a.table, 1, 0, frozenset(), ())
+        if a.num_states == 1 and not a.transitions:
+            return a
+        return type(a)._trusted(a.table, 1, 0, frozenset(), (), trim=True)
     renum = {q: i for i, q in enumerate(sorted(live))}
-    arcs = tuple(
+    arcs = sorted(
         Transition(renum[t.src], t.inp, t.out, renum[t.dst])
         for t in a.transitions
         if t.src in live and t.dst in live
     )
     finals = frozenset(renum[q] for q in a.finals if q in live)
-    return type(a)._trusted(a.table, len(live), renum[a.start], finals, tuple(sorted(arcs)))
+    return type(a)._trusted(a.table, len(live), renum[a.start], finals, tuple(arcs), trim=True)
 
 
 def minimize(d: Dfa) -> Dfa:
     """Canonical minimal form of a deterministic acceptor.
 
     Trims first, so dead states never influence the partition; the transition
-    function may be partial (a missing arc is simply a reject).
+    function may be partial (a missing arc is simply a reject). The result is
+    trim.
     """
     if not isinstance(d, Dfa):
         d = Dfa.from_fst(d)
     t = trim(d)
     if not t.finals:
-        return Dfa._trusted(t.table, 1, 0, frozenset(), ())
+        return t
 
     block = [0 if q in t.finals else 1 for q in range(t.num_states)]
     while True:
@@ -413,7 +402,9 @@ def minimize(d: Dfa) -> Dfa:
         for a in t.transitions
     }
     finals = frozenset(renum[block[q]] for q in t.finals)
-    return Dfa._trusted(t.table, len(renum), renum[block[t.start]], finals, tuple(sorted(arcs)))
+    return Dfa._trusted(
+        t.table, len(renum), renum[block[t.start]], finals, tuple(sorted(arcs)), trim=True
+    )
 
 
 def kleene_star_closure(t: Fst) -> Fst:
@@ -460,14 +451,7 @@ def canonical_form(d: Dfa) -> Dfa:
 
 
 def _eps_closure(a: Fst, states: frozenset[int]) -> frozenset[int]:
-    seen = set(states)
-    stack = list(states)
-    while stack:
-        for t in a.arcs_from(stack.pop()):
-            if t.inp == EPSILON and t.dst not in seen:
-                seen.add(t.dst)
-                stack.append(t.dst)
-    return frozenset(seen)
+    return frozenset(_reach(states, a._eps_next))
 
 
 def _fail_arc(a: Fst, q: int) -> Transition | None:

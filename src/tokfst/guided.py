@@ -29,10 +29,10 @@ END_OF_SEQUENCE = -1  # score-only sentinel, never a real symbol id
 class ConstraintState:
     dfa: Dfa
     state: int
-    terminable: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "terminable", self.state in self.dfa.finals)
+    @property
+    def terminable(self) -> bool:
+        return self.state in self.dfa.finals
 
 
 def constraint_begin(d: Dfa) -> ConstraintState:

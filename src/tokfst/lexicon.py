@@ -90,9 +90,6 @@ class FailureTrie:
     order: tuple[str, ...]  # breadth-first node prefixes, root first
     nodes: dict[str, TrieNode]
 
-    def root(self) -> TrieNode:
-        return self.nodes[""]
-
 
 def build_failure_trie(v: Vocabulary) -> FailureTrie:
     table = v.table

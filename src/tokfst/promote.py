@@ -76,8 +76,8 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     return trim(a)
 
 
-def _stage(label: str, machine: Fst) -> tuple[Dfa, StageStats]:
-    started = time.perf_counter()
+def _stage(label: str, started: float, machine: Fst) -> tuple[Dfa, StageStats]:
+    """Finish a stage whose clock the caller started before building `machine`."""
     acc = epsilon_remove(project_output(machine))
     deterministic = is_deterministic(acc)
     if deterministic:
@@ -105,7 +105,8 @@ def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
     if not a.finals:
         d, st = _identity_stage(a, "empty")
         return PromotionResult(d, "agnostic", (st,))
-    d, st = _stage("lexicon", compose(a, build_lexicon_transducer(v)))
+    started = time.perf_counter()
+    d, st = _stage("lexicon", started, compose(a, build_lexicon_transducer(v)))
     return PromotionResult(d, "agnostic", (st,))
 
 
@@ -115,8 +116,9 @@ def promote_maxmatch(a: Dfa, v: Vocabulary) -> PromotionResult:
     if not a.finals:
         d, st = _identity_stage(a, "empty")
         return PromotionResult(d, "maxmatch", (st,))
+    started = time.perf_counter()
     machine = build_maxmatch_transducer(build_failure_trie(v))
-    d, st = _stage("maxmatch", compose(a, machine))
+    d, st = _stage("maxmatch", started, compose(a, machine))
     return PromotionResult(d, "maxmatch", (st,))
 
 
@@ -145,9 +147,10 @@ def promote_bpe(
     alphabet = set(table.char_ids())
     stats: list[StageStats] = []
     for n, (x, y) in enumerate(t.merges, 1):
+        started = time.perf_counter()
         gadget = build_merge_gadget((x, y), frozenset(alphabet), table)
         label = f"merge {n} ({table.token(x)}+{table.token(y)})"
-        current, st = _stage(label, compose(current, gadget.fst))
+        current, st = _stage(label, started, compose(current, gadget.fst))
         stats.append(st)
         alphabet.add(gadget.result)
         if stage_hook is not None:
@@ -164,13 +167,14 @@ def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:
     table = t.vocab.table
     if not a.finals or not t.merges:
         return minimize(a)
+    started = time.perf_counter()
     machine: Fst = a
     alphabet = set(table.char_ids())
     for pair in t.merges:
         gadget = build_merge_gadget(pair, frozenset(alphabet), table)
         machine = compose(machine, gadget.fst)
         alphabet.add(gadget.result)
-    return _stage("chained", machine)[0]
+    return _stage("chained", started, machine)[0]
 
 
 # ---------------------------------------------------------------------------

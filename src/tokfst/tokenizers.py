@@ -232,19 +232,20 @@ def count_segmentations(text: str, vocab: Vocabulary) -> int:
 
 
 def iter_segmentations(text: str, vocab: Vocabulary) -> Iterator[tuple[int, ...]]:
-    """Yield every token-id sequence that concatenates to `text`."""
+    """Yield every token-id sequence that concatenates to `text`, depth
+    first, shorter first tokens first. The walk keeps its own stack, so long
+    texts do not hit the recursion limit."""
     table = vocab.table
     n = len(text)
-
-    def walk(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == n:
+    acc: list[int] = []
+    stack = [(0, 0, 0)]  # (tokens of acc kept, start, end of the next piece)
+    while stack:
+        depth, i, j = stack.pop()
+        del acc[depth:]
+        if i < j:
+            acc.append(table.id(text[i:j]))
+        if j == n:
             yield tuple(acc)
-            return
-        for length in range(1, min(vocab.max_token_len, n - i) + 1):
-            piece = text[i : i + length]
-            if piece in table:
-                acc.append(table.id(piece))
-                yield from walk(i + length, acc)
-                acc.pop()
-
-    return walk(0, [])
+            continue
+        ends = range(min(j + vocab.max_token_len, n), j, -1)  # shortest on top
+        stack.extend((len(acc), j, k) for k in ends if text[j:k] in table)

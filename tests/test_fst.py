@@ -226,6 +226,25 @@ def test_trim_empty_language_collapses_to_one_state():
     assert enumerate_language(t, 5) == set()
 
 
+def test_trim_returns_trim_machines_unchanged():
+    built = Dfa(AB, 2, 0, frozenset({1}), (Transition(0, A, A, 1),))
+    assert trim(built) is built
+    dead = Dfa(AB, 4, 0, frozenset({1}), (
+        Transition(0, A, A, 1),
+        Transition(0, B, B, 2),
+        Transition(3, A, A, 1),
+    ))
+    empty = Dfa(AB, 3, 0, frozenset(), (Transition(0, A, A, 1),))
+    for m in (dead, empty):
+        t = trim(m)
+        assert t is not m
+        assert trim(t) is t
+    twins = Dfa(AB, 3, 0, frozenset({1, 2}), (Transition(0, A, A, 1), Transition(0, B, B, 2)))
+    for m in (built, dead, empty, twins):
+        small = minimize(m)
+        assert trim(small) is small
+
+
 # ---------------------------------------------------------------------------
 # composition
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tokfst.fst
 from tokfst import (
     END_OF_SEQUENCE,
     ConfigError,
@@ -104,6 +105,28 @@ def test_begin_rejects_unusable_constraints():
               (Transition(0, RACE.table.id("r"), RACE.table.id("r"), 1),))
     with pytest.raises(ConfigError):
         constraint_begin(bad)
+
+
+def test_promoted_constraints_skip_the_trim_walk(monkeypatch):
+    d = race_dfa("agnostic")
+    canonical = lambda text: maxmatch_tokenize(text, RACE)
+    walks = []
+    reach = tokfst.fst._reach
+
+    def counted(roots, edges):
+        walks.append(roots)
+        return reach(roots, edges)
+
+    monkeypatch.setattr(tokfst.fst, "_reach", counted)
+    constraint_begin(d)
+    assert names(constrained_decode(StubLM(1), d, retokenize_with=canonical)) == ["race", "car"]
+    assert walks == []
+    # a machine built outside the library is checked once per object
+    built = Dfa(d.table, d.num_states, d.start, d.finals, d.transitions)
+    constraint_begin(built)
+    once = len(walks)
+    constrained_decode(StubLM(1), built, retokenize_with=canonical)
+    assert once > 0 and len(walks) == once
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,17 @@ def test_cli_dot_output(workdir, capsys):
     assert '"race:race"' in out
 
 
+def test_cli_mask_rejects_an_untrimmed_automaton(workdir, capsys):
+    # a loaded machine is checked once, where it enters the library
+    doc = {"symbols": ["r"], "num_states": 2, "start": 0, "finals": [0],
+           "transitions": [[0, 2, 2, 1]]}
+    path = workdir / "dead.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "mask", "--automaton", path)
+    assert (code, out) == (1, "")
+    assert "must be trim" in err
+
+
 def test_cli_error_exits(workdir, capsys):
     # validation problems: exit 1 with a message on stderr
     code, _, err = run_cli(capsys, "tokenize", "--mode", "maxmatch",

@@ -6,9 +6,11 @@ test_acceptance.py.
 """
 
 import random
+import time
 
 import pytest
 
+import tokfst.promote
 from tokfst import (
     AlphabetError,
     BpeTokenizer,
@@ -205,6 +207,21 @@ def test_bpe_stage_hook_sees_every_stage():
     assert [label for label, _ in seen] == [
         "merge 1 (a+b)", "merge 2 (b+c)", "merge 3 (c+c)", "merge 4 (ab+c)"]
     assert [n for _, n in seen] == [7, 6, 5, 5]
+
+
+def test_stage_time_covers_the_build_and_compose(monkeypatch):
+    compose = tokfst.promote.compose
+
+    def slow(left, right):
+        time.sleep(0.05)
+        return compose(left, right)
+
+    monkeypatch.setattr(tokfst.promote, "compose", slow)
+    vocab = SECT52.vocab
+    a = compile_pattern("abcc", vocab.table)
+    for r in (promote_agnostic(a, vocab), promote_maxmatch(a, vocab), promote_bpe(a, SECT52)):
+        assert r.stats
+        assert all(s.seconds >= 0.05 for s in r.stats), r.mode
 
 
 def test_chained_composition_agrees_with_the_staged_schedule():

@@ -189,6 +189,13 @@ def test_segmentation_count_matches_enumeration():
     segs = list(iter_segmentations("abaab", vocab))
     assert len(segs) == len(set(segs)) == count_segmentations("abaab", vocab) == 6
     assert all(vocab.decode(s) == "abaab" for s in segs)
+    # depth first, shorter first tokens first
+    assert [" ".join(vocab.table.token(t) for t in s) for s in segs] == [
+        "a b a a b", "a b a ab", "ab a a b", "ab a ab", "aba a b", "aba ab",
+    ]
+    # long texts need no recursion
+    single = Vocabulary.from_tokens(["a"])
+    assert list(iter_segmentations("a" * 5000, single)) == [(single.table.id("a"),) * 5000]
 
 
 def test_segmentations_cover_the_whole_lattice():
