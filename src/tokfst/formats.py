@@ -126,7 +126,8 @@ def load_automaton(path: str | Path) -> Dfa:
 
 def export_dot(m: Fst, path: str | Path | None = None) -> str:
     """Graphviz rendering; final states are double circles, arc labels are
-    input:output with the reserved symbols shown as their glyphs."""
+    input:output with the reserved symbols shown as their glyphs, and with
+    backslashes and double quotes escaped."""
     table = m.table
     lines = [
         "digraph fst {",
@@ -139,6 +140,7 @@ def export_dot(m: Fst, path: str | Path | None = None) -> str:
     lines.append(f"  hidden -> {m.start};")
     for t in sorted(m.transitions):
         label = f"{table.display(t.inp)}:{table.display(t.out)}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {t.src} -> {t.dst} [label="{label}"];')
     lines.append("}")
     text = "\n".join(lines) + "\n"

@@ -445,63 +445,35 @@ def canonical_form(d: Dfa) -> Dfa:
 # ---------------------------------------------------------------------------
 # acceptance and enumeration
 
-# Acceptance runs on the input side. Epsilon arcs are free; a failure arc is
-# taken only per its guard, which the stepper enforces by consulting the
-# failure chain exactly when the current symbol has no direct arc.
+# Acceptance runs on the input side, with epsilon arcs free. Failure arcs are
+# resolved by `compose` alone: a machine that has them is first composed under
+# the identity over its input alphabet, whose result is failure-free.
 
 
-def _eps_closure(a: Fst, states: frozenset[int]) -> frozenset[int]:
+def _failure_free(a: Fst) -> Fst:
+    if all(t.inp != FAILURE for t in a.transitions):
+        return a
+    arcs = tuple(Transition(0, s, s, 0) for s in sorted(a.input_alphabet))
+    return compose(Fst._trusted(a.table, 1, 0, frozenset([0]), arcs), a)
+
+
+def _eps_closure(a: Fst, states: Iterable[int]) -> frozenset[int]:
     return frozenset(_reach(states, a._eps_next))
 
 
-def _fail_arc(a: Fst, q: int) -> Transition | None:
-    for t in a.arcs_from(q):
-        if t.inp == FAILURE:
-            return t
-    return None
-
-
 def _step(a: Fst, states: frozenset[int], sym: int) -> frozenset[int]:
-    out: set[int] = set()
-    for q in states:
-        seen = set()
-        cur = q
-        while cur not in seen:
-            seen.add(cur)
-            hits = [t.dst for t in a.arcs_from(cur) if t.inp == sym]
-            if hits:
-                out.update(hits)
-                break
-            arc = _fail_arc(a, cur)
-            if arc is None:
-                break
-            cur = arc.dst
-    return _eps_closure(a, frozenset(out))
-
-
-def _accepting(a: Fst, states: frozenset[int]) -> bool:
-    for q in states:
-        seen = set()
-        cur = q
-        while cur not in seen:
-            seen.add(cur)
-            if cur in a.finals:
-                return True
-            arc = _fail_arc(a, cur)
-            if arc is None:
-                break
-            cur = arc.dst
-    return False
+    return _eps_closure(a, (t.dst for q in states for t in a.arcs_from(q) if t.inp == sym))
 
 
 def accepts(a: Fst, seq: Iterable[int]) -> bool:
     """Does the acceptor accept this symbol-id sequence?"""
+    a = _failure_free(a)
     states = _eps_closure(a, frozenset([a.start]))
     for sym in seq:
         states = _step(a, states, sym)
         if not states:
             return False
-    return _accepting(a, states)
+    return not a.finals.isdisjoint(states)
 
 
 def enumerate_language(
@@ -512,6 +484,9 @@ def enumerate_language(
     Exploration is capped at `max_paths` expansions; going over raises
     EnumerationError rather than silently truncating the answer.
     """
+    if max_len < 0:
+        raise ConfigError(f"max_len must not be negative, got {max_len}")
+    a = _failure_free(a)
     results: set[tuple[int, ...]] = set()
     start = _eps_closure(a, frozenset([a.start]))
     queue: deque[tuple[tuple[int, ...], frozenset[int]]] = deque([((), start)])
@@ -525,23 +500,11 @@ def enumerate_language(
                 f"({len(results)} sequences found so far)",
                 len(results),
             )
-        if _accepting(a, states):
+        if not a.finals.isdisjoint(states):
             results.add(seq)
         if len(seq) == max_len:
             continue
-        candidates: set[int] = set()
-        for q in states:
-            seen = set()
-            cur = q
-            while cur not in seen:
-                seen.add(cur)
-                candidates.update(
-                    t.inp for t in a.arcs_from(cur) if t.inp not in (EPSILON, FAILURE)
-                )
-                arc = _fail_arc(a, cur)
-                if arc is None:
-                    break
-                cur = arc.dst
+        candidates = {t.inp for q in states for t in a.arcs_from(q) if t.inp != EPSILON}
         for sym in sorted(candidates):
             nxt = _step(a, states, sym)
             if nxt:

@@ -94,6 +94,8 @@ def constrained_decode(
     retokenize_every steps the prefix is replaced by its canonical
     tokenization, replayed through the automaton.
     """
+    if retokenize_every < 1:
+        raise ConfigError(f"retokenize_every must be at least 1, got {retokenize_every}")
     state = constraint_begin(d)
     out: list[int] = []
     for step in range(max_steps):

@@ -1,8 +1,9 @@
 """Pattern promotion: lift a character-level pattern automaton to one over
 subword tokens.
 
-Three pipelines share one per-stage core (compose, project to the output
-side, strip epsilons, minimize):
+Three pipelines share one loop of stages; each stage composes the current
+machine with a transducer, projects to the output side, strips epsilons and
+minimizes:
 
 * agnostic: compose with the lexicon transducer; accepts every segmentation
   of every matching string. The intermediate is deterministic by
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from .errors import AlphabetError, EnumerationError
+from .errors import AlphabetError, ConfigError, EnumerationError
 from .fst import (
     Dfa,
     Fst,
@@ -91,35 +92,42 @@ def _stage(label: str, started: float, machine: Fst) -> tuple[Dfa, StageStats]:
     return d, stats
 
 
-def _identity_stage(a: Dfa, label: str) -> tuple[Dfa, StageStats]:
-    started = time.perf_counter()
-    d = minimize(a)
-    return d, StageStats(
-        label, d.num_states, len(d.transitions), time.perf_counter() - started, True
-    )
+def _promote(
+    a: Dfa,
+    v: Vocabulary,
+    mode: str,
+    stages: Iterable[tuple[str, Callable[[Dfa], Fst]]],
+    stage_hook: Callable[[str, Dfa], None] | None = None,
+) -> PromotionResult:
+    """Run each stage on the current machine. A stage is a label and a
+    builder of its transducer from the current machine. An empty pattern, or
+    a pipeline without stages, gets one clean-up stage labelled "empty" or
+    "identity" instead."""
+    current = _checked_pattern(a, v)
+    stats: list[StageStats] = []
+    if current.finals:
+        for label, build in stages:
+            started = time.perf_counter()
+            current, st = _stage(label, started, compose(current, build(current)))
+            stats.append(st)
+            if stage_hook is not None:
+                stage_hook(label, current)
+    if not stats:
+        label = "identity" if current.finals else "empty"
+        current, st = _stage(label, time.perf_counter(), current)
+        stats.append(st)
+    return PromotionResult(current, mode, tuple(stats))
 
 
 def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting every segmentation of every match."""
-    a = _checked_pattern(a, v)
-    if not a.finals:
-        d, st = _identity_stage(a, "empty")
-        return PromotionResult(d, "agnostic", (st,))
-    started = time.perf_counter()
-    d, st = _stage("lexicon", started, compose(a, build_lexicon_transducer(v)))
-    return PromotionResult(d, "agnostic", (st,))
+    return _promote(a, v, "agnostic", [("lexicon", lambda _: build_lexicon_transducer(v))])
 
 
 def promote_maxmatch(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting only longest-match segmentations."""
-    a = _checked_pattern(a, v)
-    if not a.finals:
-        d, st = _identity_stage(a, "empty")
-        return PromotionResult(d, "maxmatch", (st,))
-    started = time.perf_counter()
-    machine = build_maxmatch_transducer(build_failure_trie(v))
-    d, st = _stage("maxmatch", started, compose(a, machine))
-    return PromotionResult(d, "maxmatch", (st,))
+    build = lambda _: build_maxmatch_transducer(build_failure_trie(v))
+    return _promote(a, v, "maxmatch", [("maxmatch", build)])
 
 
 def promote_bpe(
@@ -130,32 +138,18 @@ def promote_bpe(
 ) -> PromotionResult:
     """Token-level automaton accepting only byte-pair segmentations.
 
-    One gadget per merge, applied in priority order over the token alphabet
-    visible at that stage; the machine is re-minimized between stages. The
-    optional stage_hook receives every intermediate result.
+    One gadget per merge, applied in priority order; each gadget runs over
+    the symbols the current machine can emit, and the machine is
+    re-minimized between stages. The optional stage_hook receives every
+    intermediate result.
     """
-    a = _checked_pattern(a, t.vocab)
     table = t.vocab.table
-    if not a.finals:
-        d, st = _identity_stage(a, "empty")
-        return PromotionResult(d, "bpe", (st,))
-    if not t.merges:
-        d, st = _identity_stage(a, "identity")
-        return PromotionResult(d, "bpe", (st,))
-
-    current = minimize(a)
-    alphabet = set(table.char_ids())
-    stats: list[StageStats] = []
-    for n, (x, y) in enumerate(t.merges, 1):
-        started = time.perf_counter()
-        gadget = build_merge_gadget((x, y), frozenset(alphabet), table)
-        label = f"merge {n} ({table.token(x)}+{table.token(y)})"
-        current, st = _stage(label, started, compose(current, gadget.fst))
-        stats.append(st)
-        alphabet.add(gadget.result)
-        if stage_hook is not None:
-            stage_hook(label, current)
-    return PromotionResult(current, "bpe", tuple(stats))
+    stages = [
+        (f"merge {n} ({table.token(x)}+{table.token(y)})",
+         lambda d, pair=(x, y): build_merge_gadget(pair, d.input_alphabet, table).fst)
+        for n, (x, y) in enumerate(t.merges, 1)
+    ]
+    return _promote(a, t.vocab, "bpe", stages, stage_hook)
 
 
 def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:
@@ -197,6 +191,8 @@ def language_by_chars(
     the depth. Paths in a deterministic machine never rejoin, so no visited
     set is needed.
     """
+    if max_chars < 0:
+        raise ConfigError(f"max_chars must not be negative, got {max_chars}")
     table = v.table
     out: set[tuple[int, ...]] = set()
     stack: list[tuple[int, int, tuple[int, ...]]] = [(d.start, 0, ())]

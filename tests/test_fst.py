@@ -128,6 +128,7 @@ def test_failure_arc_reaches_finality_at_end_of_input():
     assert accepts(m, (A, B))
     assert not accepts(m, (A,))
     assert not accepts(m, (B,))
+    assert enumerate_language(m, 4) == {(), (A, B)}
 
 
 def test_failure_arc_blocked_by_matching_sibling():
@@ -139,6 +140,7 @@ def test_failure_arc_blocked_by_matching_sibling():
     # the direct arc on `a` wins even though the failure path would accept
     assert not accepts(m, (A,))
     assert not accepts(m, (B,))
+    assert enumerate_language(m, 4) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +317,9 @@ def test_enumeration_budget():
     with pytest.raises(EnumerationError) as info:
         enumerate_language(star, 10, max_paths=3)
     assert info.value.partial_count == 3
+    for machine in (star, line_dfa(AB, (A, B))):
+        with pytest.raises(ConfigError):
+            enumerate_language(machine, -1)
 
 
 def test_determinize_requires_clean_acceptor():

@@ -179,6 +179,9 @@ def test_retokenization_pulls_the_decode_back_on_track():
     partial = constrained_decode(StubLM(1), d, retokenize_with=canonical, retokenize_every=2)
     assert names(partial) == ["race", "c", "a", "r"]
     assert RACE.decode(partial) == "racecar"
+    for every in (0, -1):
+        with pytest.raises(ConfigError):
+            constrained_decode(StubLM(1), d, retokenize_with=canonical, retokenize_every=every)
 
 
 def test_decode_step_budget():

@@ -22,7 +22,7 @@ from tokfst import (
     save_automaton,
 )
 from tokfst.cli import main
-from tokfst.fst import Fst, Transition
+from tokfst.fst import Dfa, Fst, Transition
 from tokfst.lexicon import build_merge_gadget
 
 FIG2 = ["a", "b", "n", "s", "ba", "na", "ban", "bana"]
@@ -195,6 +195,18 @@ def test_dot_writes_to_a_file(tmp_path):
     text = export_dot(d, path)
     assert path.read_text() == text
     assert '"a:a"' in text
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    (tmp_path / "vocab.txt").write_text('"\n\\\n')
+    table = load_vocab(tmp_path / "vocab.txt").table
+    q, b = table.ids(['"', "\\"])
+    d = Dfa(table, 3, 0, frozenset({2}), (Transition(0, q, q, 1), Transition(1, b, b, 2)))
+    text = export_dot(d)
+    assert '[label="\\":\\""]' in text
+    assert '[label="\\\\:\\\\"]' in text
+    save_automaton(d, tmp_path / "m.json")
+    assert run_cli(capsys, "dot", "--automaton", tmp_path / "m.json") == (0, text, "")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import tokfst.promote
 from tokfst import (
     AlphabetError,
     BpeTokenizer,
+    ConfigError,
     Dfa,
     EnumerationError,
     SymbolTable,
@@ -224,6 +225,21 @@ def test_stage_time_covers_the_build_and_compose(monkeypatch):
         assert all(s.seconds >= 0.05 for s in r.stats), r.mode
 
 
+def test_gadgets_run_over_the_symbols_the_machine_emits(monkeypatch):
+    compose = tokfst.promote.compose
+    operands = []
+
+    def recording(left, right):
+        operands.append((left.input_alphabet, right.input_alphabet))
+        return compose(left, right)
+
+    monkeypatch.setattr(tokfst.promote, "compose", recording)
+    for pattern, tok in [("bcababcc", SECT52), ("...?.?.?.?", FIG7)]:
+        promote_bpe(compile_pattern(pattern, tok.vocab.table), tok)
+    assert len(operands) == len(SECT52.merges) + len(FIG7.merges)
+    assert all(gadget <= machine for machine, gadget in operands)
+
+
 def test_chained_composition_agrees_with_the_staged_schedule():
     for pattern, tok in [("bcababcc", SECT52), ("...?.?.?.?", FIG7)]:
         a = compile_pattern(pattern, tok.vocab.table)
@@ -258,6 +274,8 @@ def test_language_by_chars_budget_and_bound():
     assert all(sum(len(FIG6.table.token(i)) for i in s) <= 4 for s in ok)
     with pytest.raises(EnumerationError):
         language_by_chars(r.dfa, FIG6, 40, max_paths=50)
+    with pytest.raises(ConfigError):
+        language_by_chars(r.dfa, FIG6, -1)
 
 
 def test_check_promotion_modes_validate():
