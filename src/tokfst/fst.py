@@ -161,6 +161,49 @@ def _reach(roots: Iterable[int], edges: Mapping[int, Iterable[int]]) -> set[int]
 
 
 # ---------------------------------------------------------------------------
+# state numbering
+
+
+def _discover(cls: type[Fst], table: SymbolTable, start, expand) -> Fst:
+    """Build the machine reachable from the state key `start`.
+
+    Keys are numbered breadth first in the order they are discovered, `start`
+    as 0. `expand(key)` returns the key's finality and its moves as
+    (input, output, destination key) triples; it is called once per key.
+    """
+    ids = {start: 0}
+    order = [start]
+    arcs: list[Transition] = []
+    finals: set[int] = set()
+    for src, key in enumerate(order):  # `order` grows as the walk goes: a queue
+        final, moves = expand(key)
+        if final:
+            finals.add(src)
+        for inp, out, dst_key in moves:
+            dst = ids.get(dst_key)
+            if dst is None:
+                dst = ids[dst_key] = len(order)
+                order.append(dst_key)
+            arcs.append(Transition(src, inp, out, dst))
+    return cls._trusted(table, len(order), 0, frozenset(finals), tuple(sorted(arcs)))
+
+
+def _renumber(a: Fst, renum: Mapping[int, int], num_states: int) -> Fst:
+    """Rename each state q of `a` to renum[q], dropping the states `renum`
+    omits and the arcs that touch them; arcs that merge are kept once. The
+    callers keep only live states, so the result is marked trim."""
+    arcs = {
+        Transition(renum[t.src], t.inp, t.out, renum[t.dst])
+        for t in a.transitions
+        if t.src in renum and t.dst in renum
+    }
+    finals = frozenset(renum[q] for q in a.finals if q in renum)
+    return type(a)._trusted(
+        a.table, num_states, renum[a.start], finals, tuple(sorted(arcs)), trim=True
+    )
+
+
+# ---------------------------------------------------------------------------
 # composition
 
 
@@ -172,6 +215,9 @@ def compose(left: Fst, right: Fst) -> Fst:
     left lets the left machine move alone, an epsilon input on the right lets
     the right machine move alone. Coupled epsilon moves may duplicate paths,
     which is harmless for the acceptors this library derives from the result.
+    Repeated arcs are not: two left arcs with different outputs can meet
+    right arcs with one output and one target, giving the same move twice,
+    so each state keeps the first of equal moves.
 
     Failure arcs in `right` are expanded here, because their guard ("the
     current symbol matches no sibling arc, or the input ended") refers to the
@@ -228,51 +274,30 @@ def compose(left: Fst, right: Fst) -> Fst:
 
     # state keys: ("s", l, r) plain pairs; ("f", l, r, blocked) partway down
     # a failure chain, where blocked holds the labels of the walked states.
-    ids: dict[tuple, int] = {}
-    order: list[tuple] = []
-
-    def state_id(key: tuple) -> int:
-        if key not in ids:
-            ids[key] = len(order)
-            order.append(key)
-            queue.append(key)
-        return ids[key]
-
-    queue: deque[tuple] = deque()
-    arcs: set[Transition] = set()
-    finals: set[int] = set()
-    state_id(("s", left.start, right.start))
-
-    while queue:
-        key = queue.popleft()
-        src = ids[key]
+    def expand(key: tuple) -> tuple[bool, Iterable[tuple[int, int, tuple]]]:
+        moves = []
         if key[0] == "s":
             _, l, r = key
             blocked: frozenset[int] = frozenset()
             for t in r_eps.get(r, ()):
-                arcs.add(Transition(src, EPSILON, t.out, state_id(("s", l, t.dst))))
+                moves.append((EPSILON, t.out, ("s", l, t.dst)))
         else:
             _, l, r, blocked = key
-        if l in left.finals and r in right.finals:
-            finals.add(src)
         here = r_sym.get(r, {})
         for lt in left.arcs_from(l):
             if lt.out == EPSILON:
-                dst = state_id((*key[:1], lt.dst, *key[2:]))
-                arcs.add(Transition(src, lt.inp, EPSILON, dst))
+                moves.append((lt.inp, EPSILON, (*key[:1], lt.dst, *key[2:])))
             elif lt.out in here and lt.out not in blocked:
                 for rt in here[lt.out]:
-                    arcs.add(
-                        Transition(src, lt.inp, rt.out, state_id(("s", lt.dst, rt.dst)))
-                    )
+                    moves.append((lt.inp, rt.out, ("s", lt.dst, rt.dst)))
         fail = r_fail.get(r)
         if fail is not None:
             walked = frozenset(blocked | here.keys())
             if chain_viable(l, fail.dst, walked):
-                dst = state_id(("f", l, fail.dst, walked))
-                arcs.add(Transition(src, EPSILON, fail.out, dst))
+                moves.append((EPSILON, fail.out, ("f", l, fail.dst, walked)))
+        return l in left.finals and r in right.finals, dict.fromkeys(moves)
 
-    return Fst._trusted(left.table, len(order), 0, frozenset(finals), tuple(sorted(arcs)))
+    return _discover(Fst, left.table, ("s", left.start, right.start), expand)
 
 
 # ---------------------------------------------------------------------------
@@ -311,33 +336,15 @@ def determinize(a: Fst) -> Dfa:
     if any(t.inp == EPSILON for t in a.transitions):
         raise ConfigError("determinize expects an epsilon-free acceptor")
 
-    subset_ids: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-
-    def subset_id(states: tuple[int, ...]) -> int:
-        if states not in subset_ids:
-            subset_ids[states] = len(order)
-            order.append(states)
-            queue.append(states)
-        return subset_ids[states]
-
-    queue: deque[tuple[int, ...]] = deque()
-    arcs: list[Transition] = []
-    finals: set[int] = set()
-    subset_id((a.start,))
-    while queue:
-        states = queue.popleft()
-        src = subset_ids[states]
-        if any(q in a.finals for q in states):
-            finals.add(src)
+    def expand(states: tuple[int, ...]) -> tuple[bool, list[tuple[int, int, tuple]]]:
         targets: dict[int, set[int]] = defaultdict(set)
         for q in states:
             for t in a.arcs_from(q):
                 targets[t.inp].add(t.dst)
-        for sym in sorted(targets):
-            dst = subset_id(tuple(sorted(targets[sym])))
-            arcs.append(Transition(src, sym, sym, dst))
-    return Dfa._trusted(a.table, len(order), 0, frozenset(finals), tuple(sorted(arcs)))
+        moves = [(sym, sym, tuple(sorted(targets[sym]))) for sym in sorted(targets)]
+        return any(q in a.finals for q in states), moves
+
+    return _discover(Dfa, a.table, (a.start,), expand)
 
 
 def trim(a: Fst) -> Fst:
@@ -354,14 +361,7 @@ def trim(a: Fst) -> Fst:
         if a.num_states == 1 and not a.transitions:
             return a
         return type(a)._trusted(a.table, 1, 0, frozenset(), (), trim=True)
-    renum = {q: i for i, q in enumerate(sorted(live))}
-    arcs = sorted(
-        Transition(renum[t.src], t.inp, t.out, renum[t.dst])
-        for t in a.transitions
-        if t.src in live and t.dst in live
-    )
-    finals = frozenset(renum[q] for q in a.finals if q in live)
-    return type(a)._trusted(a.table, len(live), renum[a.start], finals, tuple(arcs), trim=True)
+    return _renumber(a, {q: i for i, q in enumerate(sorted(live))}, len(live))
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -392,19 +392,9 @@ def minimize(d: Dfa) -> Dfa:
         if new_block == block:
             break
         block = new_block
-
-    reps: dict[int, int] = {}
-    for q in range(t.num_states):
-        reps.setdefault(block[q], q)
-    renum = {b: i for i, b in enumerate(sorted(reps))}
-    arcs = {
-        Transition(renum[block[a.src]], a.inp, a.out, renum[block[a.dst]])
-        for a in t.transitions
-    }
-    finals = frozenset(renum[block[q]] for q in t.finals)
-    return Dfa._trusted(
-        t.table, len(renum), renum[block[t.start]], finals, tuple(sorted(arcs)), trim=True
-    )
+    # blocks are numbered in the order of their first state, so a block id
+    # is already the state's new number
+    return _renumber(t, dict(enumerate(block)), len(signatures))
 
 
 def kleene_star_closure(t: Fst) -> Fst:
@@ -423,23 +413,10 @@ def canonical_form(d: Dfa) -> Dfa:
     Minimal deterministic acceptors are isomorphic iff their canonical forms
     are equal.
     """
-    renum = {d.start: 0}
-    queue = deque([d.start])
-    while queue:
-        q = queue.popleft()
-        for a in sorted(d.arcs_from(q), key=lambda a: (a.inp, a.out)):
-            if a.dst not in renum:
-                renum[a.dst] = len(renum)
-                queue.append(a.dst)
-    arcs = tuple(
-        sorted(
-            Transition(renum[a.src], a.inp, a.out, renum[a.dst])
-            for a in d.transitions
-            if a.src in renum and a.dst in renum
-        )
-    )
-    finals = frozenset(renum[q] for q in d.finals if q in renum)
-    return Dfa._trusted(d.table, len(renum), 0, finals, arcs)
+    def expand(q: int) -> tuple[bool, list[tuple[int, int, int]]]:
+        return q in d.finals, [(a.inp, a.out, a.dst) for a in sorted(d.arcs_from(q))]
+
+    return _discover(Dfa, d.table, d.start, expand)
 
 
 # ---------------------------------------------------------------------------

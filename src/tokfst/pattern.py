@@ -109,9 +109,9 @@ class _Parser:
         return Repeat(node, min_count, unbounded)
 
     def atom(self):
+        """Reached through `concat` only, so a character other than `|` and
+        `)` is always left."""
         ch = self.peek()
-        if ch is None:
-            raise self.error("pattern ended where an atom was expected")
         if ch == "(":
             if self.depth == MAX_GROUP_DEPTH:
                 raise self.error(f"groups nested deeper than {MAX_GROUP_DEPTH}")
@@ -130,8 +130,6 @@ class _Parser:
             return AnyChar()
         if ch in _QUANTIFIERS:
             raise self.error(f"quantifier {ch!r} has nothing to repeat")
-        if ch in ")":
-            raise self.error("unmatched ')'")
         if ch == "\\":
             self.take()
             if self.peek() is None:

@@ -215,10 +215,18 @@ def language_by_chars(
     return out
 
 
+def _check_oracle_mode(mode: str, tokenizer: BpeTokenizer | None) -> None:
+    if mode not in ("agnostic", "maxmatch", "bpe"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    if mode == "bpe" and tokenizer is None:
+        raise ConfigError("bpe mode needs a tokenizer")
+
+
 def expected_promotion(
     a: Dfa, v: Vocabulary, mode: str, max_chars: int, tokenizer: BpeTokenizer | None = None
 ) -> set[tuple[int, ...]]:
     """The reference answer, computed without any transducer machinery."""
+    _check_oracle_mode(mode, tokenizer)
     strings = {
         v.decode(seq) for seq in enumerate_language(a, max_chars)
     }
@@ -228,11 +236,8 @@ def expected_promotion(
             expected.update(iter_segmentations(w, v))
         elif mode == "maxmatch":
             expected.add(maxmatch_tokenize(w, v))
-        elif mode == "bpe":
-            assert tokenizer is not None
-            expected.add(tokenizer.tokenize(w))
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            expected.add(tokenizer.tokenize(w))
     return expected
 
 
@@ -247,16 +252,13 @@ def check_promotion(
     bound. Returns None when the languages agree, otherwise the first
     counterexample as ("missing" | "unexpected", token sequence).
     """
+    _check_oracle_mode(mode, tokenizer)
     if mode == "agnostic":
         result = promote_agnostic(a, v)
     elif mode == "maxmatch":
         result = promote_maxmatch(a, v)
-    elif mode == "bpe":
-        if tokenizer is None:
-            raise ValueError("bpe mode needs a tokenizer")
-        result = promote_bpe(a, tokenizer)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        result = promote_bpe(a, tokenizer)
 
     actual = language_by_chars(result.dfa, v, max_chars)
     expected = expected_promotion(a, v, mode, max_chars, tokenizer)

@@ -189,24 +189,21 @@ def bpe_train(corpus: Iterable[str], steps: int) -> BpeTokenizer:
     merges: list[tuple[str, str]] = []
 
     for _ in range(steps):
+        # filled in corpus order, so `max` meets tied pairs in first-seen order
         counts: Counter[tuple[int, int]] = Counter()
-        first_seen: dict[tuple[int, int], int] = {}
-        tick = 0
         for w in order:
             for pair in zip(seqs[w], seqs[w][1:]):
                 joined = vocab.table.token(pair[0]) + vocab.table.token(pair[1])
                 if joined in vocab.table:
                     continue
                 counts[pair] += words[w]
-                first_seen.setdefault(pair, tick)
-                tick += 1
         if not counts:
             warnings.warn(
                 f"stopping after {len(merges)} merges: no pair left to merge",
                 stacklevel=2,
             )
             break
-        best = max(counts, key=lambda p: (counts[p], -first_seen[p]))
+        best = max(counts, key=counts.__getitem__)
         x, y = (vocab.table.token(i) for i in best)
         tokens.append(x + y)
         vocab = Vocabulary.from_tokens(tokens)

@@ -200,6 +200,23 @@ def test_minimize_is_idempotent_and_canonical():
         assert canonical_form(again) == canonical_form(small)
 
 
+def test_discovery_numbering_is_canonical():
+    # determinize numbers subsets breadth first over sorted labels, the same
+    # rule canonical_form applies, so its result is already canonical
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        arcs = tuple(
+            Transition(rng.randrange(n), sym, sym, rng.randrange(n))
+            for sym in rng.choices([A, B], k=rng.randint(0, 3 * n))
+        )
+        finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+        d = determinize(Fst(AB, n, 0, finals, arcs))
+        assert canonical_form(d) == d
+        m = canonical_form(minimize(d))
+        assert canonical_form(m) == m
+
+
 def test_minimize_merges_equivalent_states():
     # two distinct accepting sinks for the same residual language
     m = Dfa(AB, 3, 0, frozenset({1, 2}), (
@@ -269,7 +286,9 @@ def test_compose_against_pair_enumeration():
             for y2, z in enumerate_pairs(right, 5)
             if y1 == y2
         }
-        assert enumerate_pairs(compose(left, right), 5) == joined
+        composed = compose(left, right)
+        assert enumerate_pairs(composed, 5) == joined
+        assert len(set(composed.transitions)) == len(composed.transitions)
 
 
 def test_compose_expands_right_epsilon_input():

@@ -184,6 +184,15 @@ def test_retokenization_pulls_the_decode_back_on_track():
             constrained_decode(StubLM(1), d, retokenize_with=canonical, retokenize_every=every)
 
 
+def test_end_of_sequence_competes_with_the_best_token():
+    # after "race" the machine may stop or go on with "car"
+    d = promote_maxmatch(compile_pattern("race(car)?", RACE.table), RACE).dfa
+    assert names(constrained_decode(StubLM(0), d)) == ["race", "car"]
+    assert names(constrained_decode(StubLM(3), d)) == ["race"]
+    # a budget that runs out on a terminable state returns the prefix
+    assert names(constrained_decode(StubLM(0), d, max_steps=1)) == ["race"]
+
+
 def test_decode_step_budget():
     d = race_dfa("maxmatch")
     with pytest.raises(IncompleteGenerationError) as info:

@@ -5,9 +5,11 @@ import re
 
 import pytest
 
+import tokfst.promote
 from tokfst import (
     AlphabetError,
     ConfigError,
+    PromotionResult,
     SymbolTable,
     ValidationError,
     Vocabulary,
@@ -141,6 +143,13 @@ def test_saved_form_is_stable_and_readable(tmp_path):
      ' "transitions": []}', "symbols: duplicate token 'a'"),
     ('{"symbols": ["a"], "num_states": 2, "start": 0, "finals": [1],'
      ' "transitions": [[0, 3, 3, 1]]}', "unknown input symbol"),
+    ('["a"]', "expected a JSON object"),
+    ('{"symbols": [1], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": []}', "symbols: expected a list of strings"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": ["0"],'
+     ' "transitions": []}', "finals: expected a list of integers"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": {}}', "transitions: expected a list"),
 ])
 def test_load_automaton_rejects_corruption(tmp_path, doc, fragment):
     path = tmp_path / "m.json"
@@ -262,6 +271,18 @@ def test_cli_check_ok(workdir, capsys):
                            "--vocab", workdir / "race.txt", "--mode", "maxmatch",
                            "--max-len", "8")
     assert (code, out) == (0, "ok\n")
+
+
+def test_cli_check_reports_counterexamples(workdir, capsys, monkeypatch):
+    # a wrong promotion exits 1 and names the first sequence it gets wrong
+    empty = lambda a, v: PromotionResult(Dfa(v.table, 1, 0, frozenset(), ()), "maxmatch", ())
+    argv = ("check", "--pattern", "racecar", "--vocab", workdir / "race.txt",
+            "--mode", "maxmatch", "--max-len", "8")
+    for fake, verdict in ((tokfst.promote.promote_agnostic, "unexpected: r a ce car\n"),
+                          (empty, "missing: race car\n")):
+        monkeypatch.setattr(tokfst.promote, "promote_maxmatch", fake)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (1, verdict)
 
 
 def test_cli_dot_output(workdir, capsys):

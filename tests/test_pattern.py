@@ -92,6 +92,9 @@ def test_unknown_character_is_an_alphabet_error():
     ("a|*b", 2),
     ("[z-a]", 4),
     ("[", 1),
+    ("a\\", 2),
+    ("[]", 1),
+    ("[a\\", 3),
     ("(" * 101 + "a" + ")" * 101, 100),
     ("a|" + "(" * 500 + "a" + ")" * 500, 102),
 ])

@@ -33,6 +33,7 @@ from tokfst import (
     promote_maxmatch,
     promotion_stats,
 )
+from tokfst.promote import expected_promotion
 
 FIG4 = Vocabulary.from_tokens(["a", "b", "c", "ab", "abc", "bc"])
 FIG6 = Vocabulary.from_tokens(["a", "b", "aa", "ab"])
@@ -280,7 +281,13 @@ def test_language_by_chars_budget_and_bound():
 
 def test_check_promotion_modes_validate():
     a = compile_pattern("ab", FIG4.table)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         check_promotion(a, FIG4, "bpe", 8)  # tokenizer missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         check_promotion(a, FIG4, "sideways", 8)
+    # checked before any enumeration: at max_chars 0 no string is tokenized
+    for max_chars in (4, 0):
+        with pytest.raises(ConfigError):
+            expected_promotion(a, FIG4, "bpe", max_chars)
+        with pytest.raises(ConfigError):
+            expected_promotion(a, FIG4, "sideways", max_chars)

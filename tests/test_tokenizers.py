@@ -150,6 +150,11 @@ def test_train_counts_pairs_across_the_corpus():
     assert tok.merge_tokens() == (("a", "a"),)
 
 
+def test_train_breaks_ties_toward_the_first_seen_pair():
+    assert bpe_train(["ab", "cd"], 1).merge_tokens() == (("a", "b"),)
+    assert bpe_train(["cd", "ab"], 1).merge_tokens() == (("c", "d"),)
+
+
 def test_train_uses_merge_results_in_later_rounds():
     tok = bpe_train(["abab"], 2)
     assert tok.merge_tokens() == (("a", "b"), ("ab", "ab"))
