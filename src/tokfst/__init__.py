@@ -30,7 +30,6 @@ from .fst import (
     determinize,
     enumerate_language,
     epsilon_remove,
-    is_deterministic,
     kleene_star_closure,
     minimize,
     project_output,
@@ -124,7 +123,6 @@ __all__ = [
     "enumerate_language",
     "epsilon_remove",
     "export_dot",
-    "is_deterministic",
     "iter_segmentations",
     "kleene_star_closure",
     "language_by_chars",

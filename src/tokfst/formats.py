@@ -95,17 +95,17 @@ def load_automaton(path: str | Path) -> Dfa:
     symbols = doc["symbols"]
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
         raise ValidationError(f"{path}: symbols: expected a list of strings")
-    if not isinstance(doc["num_states"], int) or not isinstance(doc["start"], int):
+    if type(doc["num_states"]) is not int or type(doc["start"]) is not int:
         raise ValidationError(f"{path}: num_states/start: expected integers")
     if not isinstance(doc["finals"], list) or not all(
-        isinstance(q, int) for q in doc["finals"]
+        type(q) is int for q in doc["finals"]
     ):
         raise ValidationError(f"{path}: finals: expected a list of integers")
     transitions = doc["transitions"]
     if not isinstance(transitions, list):
         raise ValidationError(f"{path}: transitions: expected a list")
     for n, row in enumerate(transitions):
-        if not (isinstance(row, list) and len(row) == 4 and all(isinstance(x, int) for x in row)):
+        if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)):
             raise ValidationError(f"{path}: transitions[{n}]: expected 4 integers")
 
     try:

@@ -136,18 +136,6 @@ class Dfa(Fst):
         return cls(a.table, a.num_states, a.start, a.finals, a.transitions)
 
 
-def is_deterministic(a: Fst) -> bool:
-    """True iff `a` has no epsilon/failure arcs and one arc per state and symbol."""
-    seen: set[tuple[int, int]] = set()
-    for t in a.transitions:
-        if t.inp in (EPSILON, FAILURE) or t.out == EPSILON:
-            return False
-        if (t.src, t.inp) in seen:
-            return False
-        seen.add((t.src, t.inp))
-    return True
-
-
 def _reach(roots: Iterable[int], edges: Mapping[int, Iterable[int]]) -> set[int]:
     """The roots and every state reachable from them along `edges`."""
     seen = set(roots)
@@ -335,16 +323,34 @@ def determinize(a: Fst) -> Dfa:
     _require_acceptor(a, "determinize")
     if any(t.inp == EPSILON for t in a.transitions):
         raise ConfigError("determinize expects an epsilon-free acceptor")
+    return _output_subsets(a)[0]
 
-    def expand(states: tuple[int, ...]) -> tuple[bool, list[tuple[int, int, tuple]]]:
+
+def _output_subsets(t: Fst) -> tuple[Dfa, bool]:
+    """Projection, epsilon removal and determinization in one walk: a subset
+    construction over the output side of a failure-free machine. A key is
+    the set of raw targets one label leads to, expanded through its closure
+    under arcs that emit nothing. The flag is True iff no label of any key
+    led to two targets."""
+    silent: dict[int, list[int]] = defaultdict(list)
+    for a in t.transitions:
+        if a.out == EPSILON:
+            silent[a.src].append(a.dst)
+    deterministic = True
+
+    def expand(key: frozenset[int]) -> tuple[bool, list[tuple[int, int, frozenset]]]:
+        nonlocal deterministic
+        closure = _reach(key, silent)
         targets: dict[int, set[int]] = defaultdict(set)
-        for q in states:
-            for t in a.arcs_from(q):
-                targets[t.inp].add(t.dst)
-        moves = [(sym, sym, tuple(sorted(targets[sym]))) for sym in sorted(targets)]
-        return any(q in a.finals for q in states), moves
+        for q in closure:
+            for a in t.arcs_from(q):
+                if a.out != EPSILON:
+                    targets[a.out].add(a.dst)
+        deterministic = deterministic and all(len(d) == 1 for d in targets.values())
+        moves = [(sym, sym, frozenset(targets[sym])) for sym in sorted(targets)]
+        return not t.finals.isdisjoint(closure), moves
 
-    return _discover(Dfa, a.table, (a.start,), expand)
+    return _discover(Dfa, t.table, frozenset([t.start]), expand), deterministic
 
 
 def trim(a: Fst) -> Fst:

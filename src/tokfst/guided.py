@@ -100,14 +100,13 @@ def constrained_decode(
     out: list[int] = []
     for step in range(max_steps):
         allowed = sorted(allowed_tokens(state))
-        if state.terminable:
-            if not allowed:
-                return tuple(out)
-            best = max(allowed, key=lambda t: lm.score(out, t))
-            if lm.score(out, END_OF_SEQUENCE) > lm.score(out, best):
-                return tuple(out)
-        else:
-            best = max(allowed, key=lambda t: lm.score(out, t))
+        if state.terminable and not allowed:
+            return tuple(out)
+        scores = [lm.score(out, t) for t in allowed]
+        top = max(scores)
+        if state.terminable and lm.score(out, END_OF_SEQUENCE) > top:
+            return tuple(out)
+        best = allowed[scores.index(top)]  # the first of equal maxima
         out.append(best)
         state = constraint_advance(state, best)
         if retokenize_with is not None and (step + 1) % retokenize_every == 0:

@@ -155,9 +155,11 @@ class MergeGadget:
 
     State 0 copies symbols until it sees the left operand, which it holds
     back (emitting nothing) while moving to state 1. State 1 resolves the
-    pair if the right operand follows; re-holds on another left operand; and
-    otherwise fails over to state 2, flushing the held token. Finality of
-    states 0 and 2 lets the failure arc flush at end of input.
+    pair if the right operand follows, and otherwise fails over to state 2,
+    flushing the held token. State 2 copies the next symbol back to state 0,
+    or holds it again if it is another left operand. Finality of states 0
+    and 2 lets the failure arc flush at end of input. State 1 emits the held
+    token through the flush alone, so merge stages stay deterministic.
     """
 
     fst: Fst
@@ -186,11 +188,11 @@ def build_merge_gadget(
         arcs.append(Transition(0, a, EPSILON, 1))
     if b in alphabet:
         arcs.append(Transition(1, b, ab, 0))  # resolve; doubles as a=b case
-    if a != b and a in alphabet:
-        arcs.append(Transition(1, a, a, 1))  # postpone: emit held, hold new
     arcs.append(Transition(1, FAILURE, a, 2))  # flush the held token
     for c in sorted(alphabet - {a, b, ab}):
         arcs.append(Transition(2, c, c, 0))
+    if a != b and a in alphabet:
+        arcs.append(Transition(2, a, EPSILON, 1))  # hold the next left operand
 
     fst = Fst(table, 3, 0, frozenset([0, 2]), tuple(arcs))
     return MergeGadget(fst, (a, b), ab)

@@ -1,21 +1,20 @@
 """Pattern promotion: lift a character-level pattern automaton to one over
 subword tokens.
 
-Three pipelines share one loop of stages; each stage composes the current
-machine with a transducer, projects to the output side, strips epsilons and
-minimizes:
+Three pipelines share one loop of stages. Each stage composes the current
+machine with a transducer, makes one subset construction over the output
+side of the composition that also passes over arcs emitting nothing, and
+minimizes; results are in canonical form.
 
 * agnostic: compose with the lexicon transducer; accepts every segmentation
-  of every matching string. The intermediate is deterministic by
-  construction, so no subset construction runs.
+  of every matching string.
 * maxmatch: compose with the greedy longest-match transducer; accepts only
   the longest-match segmentation of each matching string.
 * bpe: compose with one merge gadget per merge, re-minimizing between
   stages; accepts only the byte-pair segmentation of each matching string.
 
-Stages record whether the machine was already deterministic before
-minimization; when it is not, a subset construction is inserted so the
-result is correct either way.
+Lexicon and merge stages are deterministic by construction, so their subset
+construction never merges targets; maxmatch stages sometimes need it.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from .errors import AlphabetError, ConfigError, EnumerationError
 from .fst import (
     Dfa,
     Fst,
+    _output_subsets,
     compose,
     determinize,
     enumerate_language,
     epsilon_remove,
-    is_deterministic,
     minimize,
     project_output,
     trim,
@@ -47,7 +46,7 @@ class StageStats:
     states: int  # after minimization
     transitions: int
     seconds: float
-    deterministic_before_minimize: bool
+    deterministic_before_minimize: bool  # False: the subset construction merged targets
 
 
 @dataclass(frozen=True)
@@ -78,13 +77,9 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
 
 
 def _stage(label: str, started: float, machine: Fst) -> tuple[Dfa, StageStats]:
-    """Finish a stage whose clock the caller started before building `machine`."""
-    acc = epsilon_remove(project_output(machine))
-    deterministic = is_deterministic(acc)
-    if deterministic:
-        d = Dfa._trusted(acc.table, acc.num_states, acc.start, acc.finals, acc.transitions)
-    else:
-        d = determinize(acc)
+    """Finish a stage whose clock the caller started before building `machine`:
+    one subset construction over its output side, then minimization."""
+    d, deterministic = _output_subsets(machine)
     d = minimize(d)
     stats = StageStats(
         label, d.num_states, len(d.transitions), time.perf_counter() - started, deterministic
@@ -153,22 +148,22 @@ def promote_bpe(
 
 
 def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:
-    """The one-shot composition chain: all gadgets composed first, one
-    projection and cleanup at the end. Exponentially worse than promote_bpe
-    on adversarial inputs; kept as a cross-check of the staged schedule.
+    """The one-shot composition chain: all gadgets composed first, then
+    projection, epsilon removal, determinization and minimization, one
+    operator each. Exponentially worse than promote_bpe on adversarial
+    inputs; kept as a cross-check of the staged schedule and its walk.
     """
     a = _checked_pattern(a, t.vocab)
     table = t.vocab.table
     if not a.finals or not t.merges:
         return minimize(a)
-    started = time.perf_counter()
     machine: Fst = a
     alphabet = set(table.char_ids())
     for pair in t.merges:
         gadget = build_merge_gadget(pair, frozenset(alphabet), table)
         machine = compose(machine, gadget.fst)
         alphabet.add(gadget.result)
-    return _stage("chained", started, machine)[0]
+    return minimize(determinize(epsilon_remove(project_output(machine))))
 
 
 # ---------------------------------------------------------------------------

@@ -154,15 +154,14 @@ def test_criterion_05_bpe_oracle_equality():
 
 
 def test_criterion_06_stage_determinism():
-    """Expected to fail on the merge-gadget half.
+    """Lexicon and merge stages are deterministic before minimization.
 
-    The lexicon half holds everywhere. The gadget half does not: whenever a
-    pattern branches on the symbol after a held merge operand, the postpone
-    and flush continuations both emit that operand from one projected state,
-    so the pre-minimize intermediate is nondeterministic. The pipeline
-    detects this and inserts a subset construction (the recorded flag), so
-    criteria 5 and 8 still pass; the claim checked here is strictly stronger
-    than what the construction needs.
+    The lexicon half holds by construction. The gadget half holds because a
+    merge gadget emits its held operand through the flush arc alone: a
+    repeated operand is flushed and then held again, so when a pattern
+    branches on the symbol after a held operand, both continuations emit
+    that operand along one arc. The subset construction each stage runs
+    (which sets the recorded flag) never has to merge targets.
     """
     lexicon_bad = []
     for n, (_, _, res) in enumerate(agnostic_instances()):

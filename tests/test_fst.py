@@ -18,13 +18,13 @@ from tokfst import (
     determinize,
     enumerate_language,
     epsilon_remove,
-    is_deterministic,
     kleene_star_closure,
     minimize,
     project_output,
     trim,
 )
 from tokfst.errors import ConfigError
+from tokfst.fst import _output_subsets
 
 from helpers import enumerate_pairs, line_dfa, random_pattern_dfa, random_transducer
 
@@ -181,7 +181,7 @@ def test_pipeline_preserves_language_randomized():
         cleaned = epsilon_remove(m)
         assert enumerate_language(cleaned, 6) == reference
         det = determinize(cleaned)
-        assert is_deterministic(det)
+        assert Dfa.from_fst(det) == det
         assert enumerate_language(det, 6) == reference
         small = minimize(det)
         assert enumerate_language(small, 6) == reference
@@ -215,6 +215,37 @@ def test_discovery_numbering_is_canonical():
         assert canonical_form(d) == d
         m = canonical_form(minimize(d))
         assert canonical_form(m) == m
+
+
+def _old_is_deterministic(a: Fst) -> bool:
+    # the check promotion stages ran on the epsilon-removed output side
+    seen = set()
+    for t in a.transitions:
+        if t.inp in (EPSILON, FAILURE) or t.out == EPSILON or (t.src, t.inp) in seen:
+            return False
+        seen.add((t.src, t.inp))
+    return True
+
+
+def test_output_subsets_match_the_operator_chain():
+    """One subset construction over the output side, closed over silent
+    arcs, against projection, epsilon removal and determinization run one
+    after another on 3,000 seeded composition results."""
+    table = SymbolTable(["a", "b", "c"])
+    rng = random.Random(606)
+    flags = set()
+    for _ in range(3000):
+        m = compose(random_transducer(rng, table, max_states=4),
+                    random_transducer(rng, table, max_states=4))
+        walked, deterministic = _output_subsets(m)
+        acceptor = epsilon_remove(project_output(m))
+        chained = minimize(determinize(acceptor))
+        assert canonical_form(walked) == walked
+        small = minimize(walked)
+        assert small == canonical_form(small) == canonical_form(chained)
+        assert deterministic == _old_is_deterministic(acceptor)
+        flags.add(deterministic)
+    assert flags == {True, False}
 
 
 def test_minimize_merges_equivalent_states():

@@ -193,6 +193,33 @@ def test_end_of_sequence_competes_with_the_best_token():
     assert names(constrained_decode(StubLM(0), d, max_steps=1)) == ["race"]
 
 
+def test_decode_scores_each_candidate_once_per_step():
+    calls = []
+
+    class Counting(StubLM):
+        def score(self, context, candidate):
+            calls.append((tuple(context), candidate))
+            return super().score(context, candidate)
+
+    for pattern in ("racecar", "race(car)?", "(r|a|ce)*"):
+        d = promote_agnostic(compile_pattern(pattern, RACE.table), RACE).dfa
+        for seed in range(10):
+            calls.clear()
+            out = constrained_decode(Counting(seed), d)
+            assert len(set(calls)) == len(calls)
+            state = constraint_begin(d)
+            expected = []
+            for step in range(len(out) + 1):
+                context = tuple(out[:step])
+                candidates = sorted(allowed_tokens(state))
+                if state.terminable and candidates:
+                    candidates.append(END_OF_SEQUENCE)
+                expected += [(context, t) for t in candidates]
+                if step < len(out):
+                    state = constraint_advance(state, out[step])
+            assert sorted(calls) == sorted(expected)
+
+
 def test_decode_step_budget():
     d = race_dfa("maxmatch")
     with pytest.raises(IncompleteGenerationError) as info:

@@ -150,6 +150,15 @@ def test_saved_form_is_stable_and_readable(tmp_path):
      ' "transitions": []}', "finals: expected a list of integers"),
     ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
      ' "transitions": {}}', "transitions: expected a list"),
+    # JSON booleans are not integers, although Python's bool is an int
+    ('{"symbols": ["a"], "num_states": true, "start": 0, "finals": [0],'
+     ' "transitions": []}', "num_states/start: expected integers"),
+    ('{"symbols": ["a"], "num_states": 1, "start": false, "finals": [0],'
+     ' "transitions": []}', "num_states/start: expected integers"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [false],'
+     ' "transitions": []}', "finals: expected a list of integers"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [[false, 2, 2, 0]]}', r"transitions\[0\]: expected 4 integers"),
 ])
 def test_load_automaton_rejects_corruption(tmp_path, doc, fragment):
     path = tmp_path / "m.json"

@@ -8,13 +8,13 @@ import pytest
 
 from tokfst import (
     AlphabetError,
+    Dfa,
     PatternSyntaxError,
     SymbolTable,
     accepts,
     canonical_form,
     compile_pattern,
     enumerate_language,
-    is_deterministic,
     minimize,
     parse_pattern,
 )
@@ -118,7 +118,7 @@ def test_compiled_output_is_minimal_and_deterministic():
     for _ in range(50):
         pattern = random_pattern_text(rng, "ab", rng.randint(1, 3))
         d = compile_pattern(pattern, AB)
-        assert is_deterministic(d)
+        assert Dfa.from_fst(d) == d
         assert minimize(d).num_states == d.num_states
 
 

@@ -45,6 +45,7 @@ FIG7 = BpeTokenizer.from_token_pairs(
     Vocabulary.from_tokens(["a", "b", "c", "d", "aa", "ab", "db", "cdb"]),
     [("a", "a"), ("a", "b"), ("d", "b"), ("c", "db")],
 )
+RACE = Vocabulary.from_tokens(["r", "a", "c", "e", "race", "car", "ce"])
 
 
 def seqs(vocab, sequences):
@@ -156,30 +157,31 @@ def test_bpe_fig7_fixture_oracle():
 
 
 def test_branching_pattern_can_need_subset_construction():
-    """Intermediates are not always deterministic: when branches disagree on
-    whether a held first operand gets flushed or merged, only the subset
-    construction reconciles them. The pipeline stays exact by inserting it
-    on demand and recording the flag."""
+    """Branches that disagree on whether a held first operand gets flushed
+    or merged used to need the subset construction, because a postpone arc
+    and the flush both emitted the held operand from one gadget state. The
+    gadget now repeats the operand through the flush alone, so these stages
+    stay deterministic and remain exact."""
     a = compile_pattern("...?.?.?.?", FIG7.vocab.table)
     r = promote_bpe(a, FIG7)
-    assert [s.deterministic_before_minimize for s in r.stats] == [True, True, False, False]
+    assert [s.deterministic_before_minimize for s in r.stats] == [True, True, True, True]
     assert check_promotion(a, FIG7.vocab, "bpe", 12, FIG7) is None
 
-    # minimal shape: after the held `a`, one branch postpones (a follows)
-    # and the other flushes (c follows); both continuations emit `a` from
-    # the same projected state toward different futures
+    # minimal shape: after the held `a`, one branch holds another `a` and
+    # the other flushes before `c`; both continuations emit `a` through the
+    # one flush arc
     vocab = Vocabulary.from_tokens(["a", "b", "c", "x", "ab"])
     tok = BpeTokenizer.from_token_pairs(vocab, [("a", "b")])
     branchy = compile_pattern("a(a|c)x", vocab.table)
     r2 = promote_bpe(branchy, tok)
-    assert [s.deterministic_before_minimize for s in r2.stats] == [False]
+    assert [s.deterministic_before_minimize for s in r2.stats] == [True]
     assert check_promotion(branchy, vocab, "bpe", 12, tok) is None
 
     small = Vocabulary.from_tokens(["a", "b", "ab"])
     tok2 = BpeTokenizer.from_token_pairs(small, [("a", "b")])
     nested = compile_pattern("aa?", small.table)
     r3 = promote_bpe(nested, tok2)
-    assert [s.deterministic_before_minimize for s in r3.stats] == [False]
+    assert [s.deterministic_before_minimize for s in r3.stats] == [True]
 
 
 def test_single_string_stages_stay_deterministic():
@@ -247,6 +249,49 @@ def test_chained_composition_agrees_with_the_staged_schedule():
         staged = promote_bpe(a, tok).dfa
         chained = promote_bpe_chained(a, tok)
         assert canonical_form(chained) == canonical_form(staged)
+
+
+def _fixture_promotions():
+    for pattern, tok in [("bcababcc", SECT52), ("(ab|c)*b?", SECT52),
+                         ("...?.?.?.?", FIG7), ("a(a|b)*d", FIG7)]:
+        a = compile_pattern(pattern, tok.vocab.table)
+        yield promote_agnostic(a, tok.vocab)
+        yield promote_maxmatch(a, tok.vocab)
+        yield promote_bpe(a, tok)
+    for pattern, vocab in [("abaabcc", FIG4), ("(ab|c)+", FIG4),
+                           ("(a|b)*", FIG6), ("a?b", FIG6), ("a[^ab]", FIG6),
+                           ("race(car)?", RACE)]:
+        a = compile_pattern(pattern, vocab.table)
+        yield promote_agnostic(a, vocab)
+        yield promote_maxmatch(a, vocab)
+
+
+def test_promotions_are_in_canonical_form():
+    # every stage ends in a subset construction over sorted labels and a
+    # minimization, both numbering states in discovery order
+    results = list(_fixture_promotions())
+    assert len(results) == 24
+    for r in results:
+        assert canonical_form(r.dfa) == r.dfa, (r.mode, r.stats[-1].label)
+
+
+def test_stages_run_one_walk_and_the_chained_schedule_the_operators(monkeypatch):
+    calls = []
+
+    def counting(name, op):
+        def counted(*args):
+            calls.append(name)
+            return op(*args)
+        return counted
+
+    for name in ("project_output", "epsilon_remove", "determinize"):
+        monkeypatch.setattr(tokfst.promote, name, counting(name, getattr(tokfst.promote, name)))
+    results = list(_fixture_promotions())
+    assert sum(len(r.stats) for r in results) > len(results)
+    assert calls == []
+    a = compile_pattern("bcababcc", SECT52.vocab.table)
+    promote_bpe_chained(a, SECT52)
+    assert calls == ["project_output", "epsilon_remove", "determinize"]
 
 
 # ---------------------------------------------------------------------------

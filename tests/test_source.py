@@ -17,3 +17,18 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_public_surface_matches_all():
+    # a name deleted from a module must leave the package's surface too
+    assert [name for name in tokfst.__all__ if not hasattr(tokfst, name)] == []
+    tree = ast.parse(Path(tokfst.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert public
+    assert sorted(public - set(tokfst.__all__)) == []
