@@ -23,11 +23,18 @@ from .tokenizers import BpeTokenizer, Vocabulary
 _FIELDS = ("symbols", "num_states", "start", "finals", "transitions")
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_vocab(path: str | Path) -> Vocabulary:
     """One token per line, in id order."""
     tokens: list[str] = []
     seen: set[str] = set()
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     for n, line in enumerate(lines, 1):
         if line == "":
             if n == len(lines):
@@ -45,7 +52,7 @@ def load_vocab(path: str | Path) -> Vocabulary:
 def load_merges(path: str | Path, v: Vocabulary) -> BpeTokenizer:
     """One merge per line as two space-separated tokens; `#` lines ignored."""
     pairs: list[tuple[str, str]] = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for n, line in enumerate(_read_text(path).splitlines(), 1):
         if not line or line.startswith("#"):
             continue
         parts = line.split(" ")
@@ -73,15 +80,15 @@ def save_automaton(m: Fst, path: str | Path) -> None:
         "num_states": m.num_states,
         "start": m.start,
         "finals": sorted(m.finals),
-        "transitions": sorted([t.src, t.inp, t.out, t.dst] for t in m.transitions),
+        "transitions": [list(t) for t in m.transitions],
     }
     _atomic_write(path, json.dumps(doc, ensure_ascii=False, indent=1) + "\n")
 
 
 def load_automaton(path: str | Path) -> Dfa:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, deep nesting
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object")
@@ -118,7 +125,7 @@ def load_automaton(path: str | Path) -> Dfa:
             doc["num_states"],
             doc["start"],
             frozenset(doc["finals"]),
-            tuple(tuple(row) for row in transitions),
+            transitions,
         )
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
@@ -138,7 +145,7 @@ def export_dot(m: Fst, path: str | Path | None = None) -> str:
         shape = "doublecircle" if q in m.finals else "circle"
         lines.append(f"  {q} [shape={shape}];")
     lines.append(f"  hidden -> {m.start};")
-    for t in sorted(m.transitions):
+    for t in m.transitions:
         label = f"{table.display(t.inp)}:{table.display(t.out)}"
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {t.src} -> {t.dst} [label="{label}"];')

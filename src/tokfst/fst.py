@@ -2,7 +2,9 @@
 
 Machines are immutable. A transducer is a set of integer states with arcs
 carrying an (input, output) pair of symbol ids; an acceptor is the special
-case where input == output on every arc. Two reserved ids appear on arcs:
+case where input == output on every arc. Every machine keeps its arcs per
+state in `Fst.arcs`, the one form operations read and build; `Transition`
+records exist only in the view for callers. Two reserved ids appear on arcs:
 
 * EPSILON consumes/emits nothing.
 * FAILURE (input side only) consumes nothing and may be traversed only when
@@ -13,7 +15,7 @@ case where input == output on every arc. Two reserved ids appear on arcs:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, NamedTuple
 
@@ -28,23 +30,29 @@ class Transition(NamedTuple):
     dst: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fst:
-    """A finite-state transducer over one shared symbol table."""
+    """A finite-state transducer over one shared symbol table. The rows given
+    as `transitions`, in any order, are stored in `arcs`, never mutated: each
+    state that has arcs maps to the sorted tuple of its (inp, out, dst) arcs."""
 
     table: SymbolTable
     num_states: int
     start: int
     finals: frozenset[int]
-    transitions: tuple[Transition, ...]
+    arcs: dict[int, tuple[tuple[int, int, int], ...]] = field(hash=False)
+
+    def __init__(self, table, num_states, start, finals, transitions):
+        self.__dict__.update(
+            table=table, num_states=num_states, start=start,
+            finals=finals, arcs=transitions,
+        )
+        self.__post_init__()
 
     def __post_init__(self):
-        """Check a machine given by a caller; operations build theirs through
-        `_trusted` instead, because valid operands yield valid results."""
+        """Check a machine given by a caller and store its arcs; operations
+        use `_trusted` instead, because valid operands yield valid results."""
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(
-            self, "transitions", tuple(Transition(*t) for t in self.transitions)
-        )
         if self.num_states < 1:
             raise ValueError("a machine needs at least one state")
         if not 0 <= self.start < self.num_states:
@@ -54,86 +62,80 @@ class Fst:
                 raise ValueError(f"final state {q} out of range")
         end = RESERVED + len(self.table)
         deterministic = isinstance(self, Dfa)
-        seen_failure = set()
-        seen_label: set[tuple[int, int]] = set()
-        for t in self.transitions:
-            if not (0 <= t.src < self.num_states and 0 <= t.dst < self.num_states):
-                raise ValueError(f"transition {t} references a missing state")
-            if t.inp != EPSILON and t.inp != FAILURE and not RESERVED <= t.inp < end:
-                raise ValueError(f"transition {t} has an unknown input symbol")
-            if t.out == FAILURE or (t.out != EPSILON and not RESERVED <= t.out < end):
-                raise ValueError(f"transition {t} has an invalid output symbol")
-            if t.inp == FAILURE:
-                if t.src in seen_failure:
-                    raise ValueError(f"state {t.src} has more than one failure arc")
-                seen_failure.add(t.src)
-            if not deterministic:
+        by_src: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        for row in self.arcs:
+            src, inp, out, dst = row
+            if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
+                problem = "references a missing state"
+            elif inp != EPSILON and inp != FAILURE and not RESERVED <= inp < end:
+                problem = "has an unknown input symbol"
+            elif out == FAILURE or (out != EPSILON and not RESERVED <= out < end):
+                problem = "has an invalid output symbol"
+            elif deterministic and inp in (EPSILON, FAILURE):
+                problem = "is not allowed in a deterministic acceptor"
+            elif deterministic and inp != out:
+                problem = "is not an acceptor arc"
+            else:
+                by_src[src].append((inp, out, dst))
                 continue
-            if t.inp in (EPSILON, FAILURE):
-                raise ValueError(f"transition {t} is not allowed in a deterministic acceptor")
-            if t.inp != t.out:
-                raise ValueError(f"transition {t} is not an acceptor arc")
-            if (t.src, t.inp) in seen_label:
-                raise ValueError(f"state {t.src} has two arcs on symbol {t.inp}")
-            seen_label.add((t.src, t.inp))
+            raise ValueError(f"transition {Transition(*row)} {problem}")
+        arcs = {q: tuple(sorted(q_arcs)) for q, q_arcs in by_src.items()}
+        for q, q_arcs in arcs.items():  # equal inputs are adjacent once sorted
+            for (inp, _, _), (nxt, _, _) in zip(q_arcs, q_arcs[1:]):
+                if inp == nxt == FAILURE:
+                    raise ValueError(f"state {q} has more than one failure arc")
+                if inp == nxt and deterministic:
+                    raise ValueError(f"state {q} has two arcs on symbol {inp}")
+        object.__setattr__(self, "arcs", arcs)
 
     @classmethod
-    def _trusted(cls, table, num_states, start, finals, transitions, *, trim=False):
+    def _trusted(cls, table, num_states, start, finals, arcs, *, trim=False):
         """Store the fields unchecked: for results derived from valid machines,
-        with `finals` a frozenset and `transitions` a tuple of Transitions.
+        with `finals` a frozenset and `arcs` already in the stored form.
         `trim=True` records a machine built trim, so `_live` needs no walk."""
         m = object.__new__(cls)
         m.__dict__.update(
             table=table, num_states=num_states, start=start,
-            finals=finals, transitions=transitions,
+            finals=finals, arcs=arcs,
         )
         if trim:
             m.__dict__["_live"] = range(num_states) if finals else frozenset()
         return m
 
     @cached_property
-    def _by_src(self) -> dict[int, tuple[Transition, ...]]:
-        buckets: dict[int, list[Transition]] = defaultdict(list)
-        for t in self.transitions:
-            buckets[t.src].append(t)
-        return {q: tuple(ts) for q, ts in buckets.items()}
-
-    def arcs_from(self, state: int) -> tuple[Transition, ...]:
-        return self._by_src.get(state, ())
+    def transitions(self) -> tuple[Transition, ...]:
+        """Every arc as a `Transition`, sorted by (src, inp, out, dst)."""
+        return tuple(Transition(q, *arc) for q in sorted(self.arcs) for arc in self.arcs[q])
 
     @cached_property
     def _eps_next(self) -> dict[int, list[int]]:
         """Targets of each state's epsilon-input arcs."""
-        nxt: dict[int, list[int]] = defaultdict(list)
-        for t in self.transitions:
-            if t.inp == EPSILON:
-                nxt[t.src].append(t.dst)
-        return dict(nxt)
+        return _eps_targets(self, 0)
 
     @cached_property
     def _live(self) -> Collection[int]:
         """States reachable from the start that can also reach a final state."""
-        fwd: dict[int, list[int]] = defaultdict(list)
+        fwd = {q: [dst for _, _, dst in arcs] for q, arcs in self.arcs.items()}
         bwd: dict[int, list[int]] = defaultdict(list)
-        for t in self.transitions:
-            fwd[t.src].append(t.dst)
-            bwd[t.dst].append(t.src)
+        for q, targets in fwd.items():
+            for dst in targets:
+                bwd[dst].append(q)
         return _reach([self.start], fwd) & _reach(self.finals, bwd)
 
     @cached_property
     def input_alphabet(self) -> frozenset[int]:
-        return frozenset(
-            t.inp for t in self.transitions if t.inp not in (EPSILON, FAILURE)
-        )
+        inputs = frozenset(inp for arcs in self.arcs.values() for inp, _, _ in arcs)
+        return inputs - {EPSILON, FAILURE}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dfa(Fst):
     """An acceptor with no epsilon/failure arcs and at most one arc per symbol."""
 
     @classmethod
     def from_fst(cls, a: Fst) -> "Dfa":
-        return cls(a.table, a.num_states, a.start, a.finals, a.transitions)
+        rows = ((q, *arc) for q, arcs in a.arcs.items() for arc in arcs)
+        return cls(a.table, a.num_states, a.start, a.finals, rows)
 
 
 def _reach(roots: Iterable[int], edges: Mapping[int, Iterable[int]]) -> set[int]:
@@ -146,6 +148,11 @@ def _reach(roots: Iterable[int], edges: Mapping[int, Iterable[int]]) -> set[int]
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+def _eps_targets(t: Fst, side: int) -> dict[int, list[int]]:
+    """Targets of each state's arcs with EPSILON on input (side 0) or output (1)."""
+    return {q: [arc[2] for arc in arcs if arc[side] == EPSILON] for q, arcs in t.arcs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -161,34 +168,36 @@ def _discover(cls: type[Fst], table: SymbolTable, start, expand) -> Fst:
     """
     ids = {start: 0}
     order = [start]
-    arcs: list[Transition] = []
+    arcs: dict[int, tuple[tuple[int, int, int], ...]] = {}
     finals: set[int] = set()
     for src, key in enumerate(order):  # `order` grows as the walk goes: a queue
         final, moves = expand(key)
         if final:
             finals.add(src)
+        numbered = []
         for inp, out, dst_key in moves:
             dst = ids.get(dst_key)
             if dst is None:
                 dst = ids[dst_key] = len(order)
                 order.append(dst_key)
-            arcs.append(Transition(src, inp, out, dst))
-    return cls._trusted(table, len(order), 0, frozenset(finals), tuple(sorted(arcs)))
+            numbered.append((inp, out, dst))
+        if numbered:
+            arcs[src] = tuple(sorted(numbered))
+    return cls._trusted(table, len(order), 0, frozenset(finals), arcs)
 
 
 def _renumber(a: Fst, renum: Mapping[int, int], num_states: int) -> Fst:
     """Rename each state q of `a` to renum[q], dropping the states `renum`
     omits and the arcs that touch them; arcs that merge are kept once. The
     callers keep only live states, so the result is marked trim."""
-    arcs = {
-        Transition(renum[t.src], t.inp, t.out, renum[t.dst])
-        for t in a.transitions
-        if t.src in renum and t.dst in renum
-    }
+    arcs: dict[int, set[tuple[int, int, int]]] = defaultdict(set)
+    for q, new in renum.items():
+        for inp, out, dst in a.arcs.get(q, ()):
+            if dst in renum:
+                arcs[new].add((inp, out, renum[dst]))
     finals = frozenset(renum[q] for q in a.finals if q in renum)
-    return type(a)._trusted(
-        a.table, num_states, renum[a.start], finals, tuple(sorted(arcs)), trim=True
-    )
+    stored = {q: tuple(sorted(q_arcs)) for q, q_arcs in arcs.items()}
+    return type(a)._trusted(a.table, num_states, renum[a.start], finals, stored, trim=True)
 
 
 # ---------------------------------------------------------------------------
@@ -219,70 +228,60 @@ def compose(left: Fst, right: Fst) -> Fst:
     """
     if left.table != right.table:
         raise ConfigError("cannot compose machines over different symbol tables")
-    if any(t.inp == FAILURE for t in left.transitions):
+    if any(inp == FAILURE for arcs in left.arcs.values() for inp, _, _ in arcs):
         raise ConfigError("failure arcs in the left operand are not supported")
 
-    r_eps: dict[int, list[Transition]] = defaultdict(list)
-    r_sym: dict[int, dict[int, list[Transition]]] = defaultdict(lambda: defaultdict(list))
-    r_fail: dict[int, Transition] = {}
-    for t in right.transitions:
-        if t.inp == EPSILON:
-            r_eps[t.src].append(t)
-        elif t.inp == FAILURE:
-            r_fail[t.src] = t
-        else:
-            r_sym[t.src][t.inp].append(t)
+    # the right machine's (output, target) moves by state and input
+    r_moves: dict[int, dict[int, list[tuple]]] = defaultdict(lambda: defaultdict(list))
+    for q, arcs in right.arcs.items():
+        for inp, out, dst in arcs:
+            r_moves[q][inp].append((out, dst))
 
     # left moves that emit nothing; a failure chain looks through them
-    silent_next: dict[int, list[int]] = defaultdict(list)
-    for t in left.transitions:
-        if t.out == EPSILON:
-            silent_next[t.src].append(t.dst)
+    silent_next = _eps_targets(left, 1)
 
     def chain_viable(l: int, r: int, blocked: frozenset[int]) -> bool:
         # Can a failure chain at right-state r ever consume a label the left
         # machine still emits, or land on finality for both sides?
         silent = _reach([l], silent_next)
-        can_emit = {t.out for q in silent for t in left.arcs_from(q) if t.out != EPSILON}
+        can_emit = {out for q in silent for _, out, _ in left.arcs.get(q, ())} - {EPSILON}
         can_end = not left.finals.isdisjoint(silent)
         seen = set()
         while r not in seen:
             seen.add(r)
-            labels = r_sym.get(r, {}).keys()
-            if can_emit & (labels - blocked):
+            symbols = r_moves.get(r, {}).keys() - {EPSILON, FAILURE}
+            if can_emit & (symbols - blocked):
                 return True
             if can_end and r in right.finals:
                 return True
-            arc = r_fail.get(r)
-            if arc is None:
+            if FAILURE not in r_moves.get(r, {}):
                 return False
-            blocked = blocked | labels
-            r = arc.dst
+            blocked = blocked | symbols
+            r = r_moves[r][FAILURE][0][1]
         return False
 
     # state keys: ("s", l, r) plain pairs; ("f", l, r, blocked) partway down
     # a failure chain, where blocked holds the labels of the walked states.
     def expand(key: tuple) -> tuple[bool, Iterable[tuple[int, int, tuple]]]:
         moves = []
+        here = r_moves.get(key[2], {})
         if key[0] == "s":
             _, l, r = key
             blocked: frozenset[int] = frozenset()
-            for t in r_eps.get(r, ()):
-                moves.append((EPSILON, t.out, ("s", l, t.dst)))
+            for out, dst in here.get(EPSILON, ()):
+                moves.append((EPSILON, out, ("s", l, dst)))
         else:
             _, l, r, blocked = key
-        here = r_sym.get(r, {})
-        for lt in left.arcs_from(l):
-            if lt.out == EPSILON:
-                moves.append((lt.inp, EPSILON, (*key[:1], lt.dst, *key[2:])))
-            elif lt.out in here and lt.out not in blocked:
-                for rt in here[lt.out]:
-                    moves.append((lt.inp, rt.out, ("s", lt.dst, rt.dst)))
-        fail = r_fail.get(r)
-        if fail is not None:
-            walked = frozenset(blocked | here.keys())
-            if chain_viable(l, fail.dst, walked):
-                moves.append((EPSILON, fail.out, ("f", l, fail.dst, walked)))
+        for inp, mid, l_dst in left.arcs.get(l, ()):
+            if mid == EPSILON:
+                moves.append((inp, EPSILON, (*key[:1], l_dst, *key[2:])))
+            elif mid in here and mid not in blocked:
+                for out, r_dst in here[mid]:
+                    moves.append((inp, out, ("s", l_dst, r_dst)))
+        for out, r_dst in here.get(FAILURE, ()):
+            walked = frozenset(blocked | (here.keys() - {EPSILON, FAILURE}))
+            if chain_viable(l, r_dst, walked):
+                moves.append((EPSILON, out, ("f", l, r_dst, walked)))
         return l in left.finals and r in right.finals, dict.fromkeys(moves)
 
     return _discover(Fst, left.table, ("s", left.start, right.start), expand)
@@ -294,7 +293,8 @@ def compose(left: Fst, right: Fst) -> Fst:
 
 def project_output(t: Fst) -> Fst:
     """Keep only the output side: every arc (q, i, o, p) becomes (q, o, o, p)."""
-    arcs = tuple(Transition(a.src, a.out, a.out, a.dst) for a in t.transitions)
+    arcs = {q: tuple(sorted((out, out, dst) for _, out, dst in q_arcs))
+            for q, q_arcs in t.arcs.items()}
     return Fst._trusted(t.table, t.num_states, t.start, t.finals, arcs)
 
 
@@ -305,23 +305,22 @@ def epsilon_remove(a: Fst) -> Fst:
     may be nondeterministic.
     """
     _require_acceptor(a, "epsilon_remove")
-    arcs: set[Transition] = set()
-    finals: set[int] = set()
-    for q in range(a.num_states):
+    arcs: dict[int, tuple[tuple[int, int, int], ...]] = {}
+    finals = set(a.finals)
+    for q in a.arcs:
         reach = _reach([q], a._eps_next)
-        if reach & a.finals:
+        if not a.finals.isdisjoint(reach):
             finals.add(q)
-        for r in reach:
-            for t in a.arcs_from(r):
-                if t.inp != EPSILON:
-                    arcs.add(Transition(q, t.inp, t.out, t.dst))
-    return Fst._trusted(a.table, a.num_states, a.start, frozenset(finals), tuple(sorted(arcs)))
+        q_arcs = {arc for r in reach for arc in a.arcs.get(r, ()) if arc[0] != EPSILON}
+        if q_arcs:
+            arcs[q] = tuple(sorted(q_arcs))
+    return Fst._trusted(a.table, a.num_states, a.start, frozenset(finals), arcs)
 
 
 def determinize(a: Fst) -> Dfa:
     """Subset construction over an epsilon-free acceptor."""
     _require_acceptor(a, "determinize")
-    if any(t.inp == EPSILON for t in a.transitions):
+    if any(a._eps_next.values()):
         raise ConfigError("determinize expects an epsilon-free acceptor")
     return _output_subsets(a)[0]
 
@@ -332,10 +331,7 @@ def _output_subsets(t: Fst) -> tuple[Dfa, bool]:
     the set of raw targets one label leads to, expanded through its closure
     under arcs that emit nothing. The flag is True iff no label of any key
     led to two targets."""
-    silent: dict[int, list[int]] = defaultdict(list)
-    for a in t.transitions:
-        if a.out == EPSILON:
-            silent[a.src].append(a.dst)
+    silent = _eps_targets(t, 1)
     deterministic = True
 
     def expand(key: frozenset[int]) -> tuple[bool, list[tuple[int, int, frozenset]]]:
@@ -343,9 +339,9 @@ def _output_subsets(t: Fst) -> tuple[Dfa, bool]:
         closure = _reach(key, silent)
         targets: dict[int, set[int]] = defaultdict(set)
         for q in closure:
-            for a in t.arcs_from(q):
-                if a.out != EPSILON:
-                    targets[a.out].add(a.dst)
+            for _, out, dst in t.arcs.get(q, ()):
+                if out != EPSILON:
+                    targets[out].add(dst)
         deterministic = deterministic and all(len(d) == 1 for d in targets.values())
         moves = [(sym, sym, frozenset(targets[sym])) for sym in sorted(targets)]
         return not t.finals.isdisjoint(closure), moves
@@ -364,9 +360,9 @@ def trim(a: Fst) -> Fst:
     if len(live) == a.num_states:
         return a
     if a.start not in live:
-        if a.num_states == 1 and not a.transitions:
+        if a.num_states == 1 and not a.arcs:
             return a
-        return type(a)._trusted(a.table, 1, 0, frozenset(), (), trim=True)
+        return type(a)._trusted(a.table, 1, 0, frozenset(), {}, trim=True)
     return _renumber(a, {q: i for i, q in enumerate(sorted(live))}, len(live))
 
 
@@ -383,15 +379,14 @@ def minimize(d: Dfa) -> Dfa:
     if not t.finals:
         return t
 
+    # each state's arcs are sorted by input symbol, one arc per symbol, so a
+    # signature lists them in symbol order without sorting
     block = [0 if q in t.finals else 1 for q in range(t.num_states)]
     while True:
         signatures: dict[tuple, int] = {}
         new_block = [0] * t.num_states
         for q in range(t.num_states):
-            sig = (
-                block[q],
-                tuple(sorted((a.inp, block[a.dst]) for a in t.arcs_from(q))),
-            )
+            sig = (block[q], tuple((inp, block[dst]) for inp, _, dst in t.arcs.get(q, ())))
             if sig not in signatures:
                 signatures[sig] = len(signatures)
             new_block[q] = signatures[sig]
@@ -407,10 +402,10 @@ def kleene_star_closure(t: Fst) -> Fst:
     """Close a machine under concatenation: every final state gets an
     epsilon arc back to the start, and the start state is made final so the
     empty pair is accepted."""
-    arcs = list(t.transitions)
-    for q in sorted(t.finals):
-        arcs.append(Transition(q, EPSILON, EPSILON, t.start))
-    return Fst._trusted(t.table, t.num_states, t.start, t.finals | {t.start}, tuple(arcs))
+    arcs = dict(t.arcs)
+    for q in t.finals:
+        arcs[q] = tuple(sorted(arcs.get(q, ()) + ((EPSILON, EPSILON, t.start),)))
+    return Fst._trusted(t.table, t.num_states, t.start, t.finals | {t.start}, arcs)
 
 
 def canonical_form(d: Dfa) -> Dfa:
@@ -419,8 +414,8 @@ def canonical_form(d: Dfa) -> Dfa:
     Minimal deterministic acceptors are isomorphic iff their canonical forms
     are equal.
     """
-    def expand(q: int) -> tuple[bool, list[tuple[int, int, int]]]:
-        return q in d.finals, [(a.inp, a.out, a.dst) for a in sorted(d.arcs_from(q))]
+    def expand(q: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
+        return q in d.finals, d.arcs.get(q, ())
 
     return _discover(Dfa, d.table, d.start, expand)
 
@@ -434,24 +429,21 @@ def canonical_form(d: Dfa) -> Dfa:
 
 
 def _failure_free(a: Fst) -> Fst:
-    if all(t.inp != FAILURE for t in a.transitions):
+    if all(inp != FAILURE for arcs in a.arcs.values() for inp, _, _ in arcs):
         return a
-    arcs = tuple(Transition(0, s, s, 0) for s in sorted(a.input_alphabet))
-    return compose(Fst._trusted(a.table, 1, 0, frozenset([0]), arcs), a)
-
-
-def _eps_closure(a: Fst, states: Iterable[int]) -> frozenset[int]:
-    return frozenset(_reach(states, a._eps_next))
+    loop = tuple((s, s, 0) for s in sorted(a.input_alphabet))
+    return compose(Fst._trusted(a.table, 1, 0, frozenset([0]), {0: loop} if loop else {}), a)
 
 
 def _step(a: Fst, states: frozenset[int], sym: int) -> frozenset[int]:
-    return _eps_closure(a, (t.dst for q in states for t in a.arcs_from(q) if t.inp == sym))
+    targets = (dst for q in states for inp, _, dst in a.arcs.get(q, ()) if inp == sym)
+    return frozenset(_reach(targets, a._eps_next))
 
 
 def accepts(a: Fst, seq: Iterable[int]) -> bool:
     """Does the acceptor accept this symbol-id sequence?"""
     a = _failure_free(a)
-    states = _eps_closure(a, frozenset([a.start]))
+    states = frozenset(_reach([a.start], a._eps_next))
     for sym in seq:
         states = _step(a, states, sym)
         if not states:
@@ -471,7 +463,7 @@ def enumerate_language(
         raise ConfigError(f"max_len must not be negative, got {max_len}")
     a = _failure_free(a)
     results: set[tuple[int, ...]] = set()
-    start = _eps_closure(a, frozenset([a.start]))
+    start = frozenset(_reach([a.start], a._eps_next))
     queue: deque[tuple[tuple[int, ...], frozenset[int]]] = deque([((), start)])
     explored = 0
     while queue:
@@ -487,7 +479,7 @@ def enumerate_language(
             results.add(seq)
         if len(seq) == max_len:
             continue
-        candidates = {t.inp for q in states for t in a.arcs_from(q) if t.inp != EPSILON}
+        candidates = {inp for q in states for inp, _, _ in a.arcs.get(q, ()) if inp != EPSILON}
         for sym in sorted(candidates):
             nxt = _step(a, states, sym)
             if nxt:
@@ -496,8 +488,9 @@ def enumerate_language(
 
 
 def _require_acceptor(a: Fst, op: str) -> None:
-    for t in a.transitions:
-        if t.inp == FAILURE:
-            raise ConfigError(f"{op} expects a failure-free acceptor")
-        if t.inp != t.out:
-            raise ConfigError(f"{op} expects an acceptor, got transducer arc {t}")
+    for q, arcs in a.arcs.items():
+        for inp, out, _ in arcs:
+            if inp == FAILURE:
+                raise ConfigError(f"{op} expects a failure-free acceptor")
+            if inp != out:
+                raise ConfigError(f"{op} expects an acceptor; state {q} has arc {inp}:{out}")

@@ -45,13 +45,13 @@ def constraint_begin(d: Dfa) -> ConstraintState:
 
 def allowed_tokens(s: ConstraintState) -> frozenset[int]:
     """Token ids that keep the sequence completable."""
-    return frozenset(t.inp for t in s.dfa.arcs_from(s.state))
+    return frozenset(inp for inp, _, _ in s.dfa.arcs.get(s.state, ()))
 
 
 def constraint_advance(s: ConstraintState, token: int) -> ConstraintState:
-    for t in s.dfa.arcs_from(s.state):
-        if t.inp == token:
-            return ConstraintState(s.dfa, t.dst)
+    for inp, _, dst in s.dfa.arcs.get(s.state, ()):
+        if inp == token:
+            return ConstraintState(s.dfa, dst)
     raise ConstraintViolationError(
         f"token {s.dfa.table.display(token)} is not allowed here"
     )

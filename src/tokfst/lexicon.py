@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .fst import EPSILON, FAILURE, Fst, Transition, kleene_star_closure
-from .symbols import SymbolTable
+from .fst import EPSILON, FAILURE, Fst, kleene_star_closure
+from .symbols import RESERVED, SymbolTable
 from .tokenizers import Vocabulary
 
 
@@ -56,14 +56,14 @@ def build_lexicon_transducer(v: Vocabulary) -> Fst:
     ids = {prefix: n for n, prefix in enumerate(order)}
     sink = len(order)
 
-    arcs: list[Transition] = []
+    arcs: list[tuple[int, int, int, int]] = []
     for prefix in order:
         for ch, child in children[prefix].items():
-            arcs.append(Transition(ids[prefix], table.id(ch), EPSILON, ids[child]))
+            arcs.append((ids[prefix], table.id(ch), EPSILON, ids[child]))
     for token in table.tokens:
-        arcs.append(Transition(ids[token], EPSILON, table.id(token), sink))
+        arcs.append((ids[token], EPSILON, table.id(token), sink))
 
-    single = Fst(table, sink + 1, 0, frozenset([sink]), tuple(arcs))
+    single = Fst(table, sink + 1, 0, frozenset([sink]), arcs)
     return kleene_star_closure(single)
 
 
@@ -131,22 +131,22 @@ def build_maxmatch_transducer(trie: FailureTrie) -> Fst:
     table = trie.table
     ids = {prefix: n for n, prefix in enumerate(trie.order)}
     count = len(trie.order)
-    arcs: list[Transition] = []
+    arcs: list[tuple[int, int, int, int]] = []
 
     for prefix in trie.order:
         node = trie.nodes[prefix]
         for ch, child in node.children.items():
-            arcs.append(Transition(ids[prefix], table.id(ch), EPSILON, ids[child]))
+            arcs.append((ids[prefix], table.id(ch), EPSILON, ids[child]))
         if node.fail is None:
             continue
         src = ids[prefix]
         for pop in node.pops[:-1]:
-            arcs.append(Transition(src, FAILURE, pop, count))
+            arcs.append((src, FAILURE, pop, count))
             src = count
             count += 1
-        arcs.append(Transition(src, FAILURE, node.pops[-1], ids[node.fail]))
+        arcs.append((src, FAILURE, node.pops[-1], ids[node.fail]))
 
-    return Fst(table, count, 0, frozenset([0]), tuple(arcs))
+    return Fst(table, count, 0, frozenset([0]), arcs)
 
 
 @dataclass(frozen=True)
@@ -173,26 +173,28 @@ def build_merge_gadget(
     """Build the gadget for one merge over the tokens visible at its stage.
 
     Arcs whose input symbol is outside `alphabet` are dropped; a gadget whose
-    left operand cannot occur degenerates to the identity.
+    left operand cannot occur degenerates to the identity. The machine is
+    built unchecked, so an `alphabet` id that names no token raises ValueError.
     """
     a, b = pair
     combined = table.token(a) + table.token(b)
     if combined not in table:
         raise ConfigError(f"merge result {combined!r} is not in the vocabulary")
     ab = table.id(combined)
+    for c in alphabet:
+        if not RESERVED <= c < RESERVED + len(table):
+            raise ValueError(f"merge gadget alphabet: id {c} does not name a token")
 
-    arcs: list[Transition] = []
-    for c in sorted(alphabet - {a, ab}):
-        arcs.append(Transition(0, c, c, 0))
+    copying = [(c, c, 0) for c in alphabet - {a, ab}]
     if a in alphabet:
-        arcs.append(Transition(0, a, EPSILON, 1))
+        copying.append((a, EPSILON, 1))
+    holding = [(FAILURE, a, 2)]  # flush the held token
     if b in alphabet:
-        arcs.append(Transition(1, b, ab, 0))  # resolve; doubles as a=b case
-    arcs.append(Transition(1, FAILURE, a, 2))  # flush the held token
-    for c in sorted(alphabet - {a, b, ab}):
-        arcs.append(Transition(2, c, c, 0))
+        holding.append((b, ab, 0))  # resolve; doubles as a=b case
+    flushed = [(c, c, 0) for c in alphabet - {a, b, ab}]
     if a != b and a in alphabet:
-        arcs.append(Transition(2, a, EPSILON, 1))  # hold the next left operand
+        flushed.append((a, EPSILON, 1))  # hold the next left operand
 
-    fst = Fst(table, 3, 0, frozenset([0, 2]), tuple(arcs))
+    arcs = {q: tuple(sorted(s)) for q, s in enumerate((copying, holding, flushed)) if s}
+    fst = Fst._trusted(table, 3, 0, frozenset([0, 2]), arcs)
     return MergeGadget(fst, (a, b), ab)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetError, PatternSyntaxError
-from .fst import Dfa, Fst, Transition, determinize, epsilon_remove, minimize
+from .fst import Dfa, Fst, determinize, epsilon_remove, minimize
 from .symbols import EPSILON, SymbolTable
 
 _QUANTIFIERS = ("*", "+", "?")
@@ -187,7 +187,7 @@ class _Builder:
         self.chars = sorted(
             self.table.token(i) for i in self.table.char_ids()
         )
-        self.arcs: list[Transition] = []
+        self.arcs: list[tuple[int, int, int, int]] = []
         self.count = 0
 
     def state(self) -> int:
@@ -195,10 +195,10 @@ class _Builder:
         return self.count - 1
 
     def arc(self, src: int, sym: int, dst: int) -> None:
-        self.arcs.append(Transition(src, sym, sym, dst))
+        self.arcs.append((src, sym, sym, dst))
 
     def eps(self, src: int, dst: int) -> None:
-        self.arcs.append(Transition(src, EPSILON, EPSILON, dst))
+        self.arcs.append((src, EPSILON, EPSILON, dst))
 
     def chars_for(self, node) -> list[str]:
         if isinstance(node, Literal):
@@ -269,6 +269,6 @@ def compile_pattern(text: str, table: SymbolTable) -> Dfa:
         builder.count,
         start,
         frozenset([end]),
-        tuple(builder.arcs),
+        builder.arcs,
     )
     return minimize(determinize(epsilon_remove(nfa)))

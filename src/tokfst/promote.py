@@ -64,13 +64,12 @@ def promotion_stats(r: PromotionResult) -> tuple[int, ...]:
 def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     if a.table != v.table:
         raise AlphabetError("pattern automaton and vocabulary use different symbol tables")
-    chars = v.table.char_ids()
-    for t in a.transitions:
-        if t.inp not in chars:
-            raise AlphabetError(
-                f"pattern automaton uses multi-character token "
-                f"{v.table.token(t.inp)!r}; promote from characters only"
-            )
+    foreign = {inp for arcs in a.arcs.values() for inp, _, _ in arcs} - v.table.char_ids()
+    if foreign:
+        raise AlphabetError(
+            f"pattern automaton uses multi-character token "
+            f"{v.table.token(min(foreign))!r}; promote from characters only"
+        )
     if not isinstance(a, Dfa):
         a = Dfa.from_fst(a)
     return trim(a)
@@ -81,9 +80,8 @@ def _stage(label: str, started: float, machine: Fst) -> tuple[Dfa, StageStats]:
     one subset construction over its output side, then minimization."""
     d, deterministic = _output_subsets(machine)
     d = minimize(d)
-    stats = StageStats(
-        label, d.num_states, len(d.transitions), time.perf_counter() - started, deterministic
-    )
+    arcs = sum(map(len, d.arcs.values()))
+    stats = StageStats(label, d.num_states, arcs, time.perf_counter() - started, deterministic)
     return d, stats
 
 
@@ -203,10 +201,10 @@ def language_by_chars(
             )
         if state in d.finals:
             out.add(seq)
-        for arc in d.arcs_from(state):
-            cost = used + len(table.token(arc.inp))
+        for inp, _, dst in d.arcs.get(state, ()):
+            cost = used + len(table.token(inp))
             if cost <= max_chars:
-                stack.append((arc.dst, cost, seq + (arc.inp,)))
+                stack.append((dst, cost, seq + (inp,)))
     return out
 
 

@@ -70,12 +70,12 @@ def enumerate_pairs(machine: Fst, max_len: int,
             raise AssertionError("pair enumeration blew its budget")
         if state in machine.finals:
             pairs.add((ins, outs))
-        for arc in machine.arcs_from(state):
-            nins = ins if arc.inp == EPSILON else ins + (arc.inp,)
-            nouts = outs if arc.out == EPSILON else outs + (arc.out,)
+        for inp, out, dst in machine.arcs.get(state, ()):
+            nins = ins if inp == EPSILON else ins + (inp,)
+            nouts = outs if out == EPSILON else outs + (out,)
             if len(nins) > max_len or len(nouts) > max_len:
                 continue
-            key = (arc.dst, nins, nouts)
+            key = (dst, nins, nouts)
             if key not in seen:
                 seen.add(key)
                 stack.append(key)

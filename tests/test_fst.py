@@ -73,6 +73,24 @@ def test_dfa_rejects_non_dfa_shapes():
         Dfa(AB, 3, 0, frozenset(), (Transition(0, A, A, 1), Transition(0, A, A, 2)))
 
 
+def test_arcs_are_stored_per_state_and_sorted():
+    rows = [(1, B, B, 0), (0, B, B, 1), (0, A, A, 1), (0, EPSILON, EPSILON, 1)]
+    m = Fst(AB, 2, 0, frozenset({1}), rows)
+    assert m.arcs == {0: ((EPSILON, EPSILON, 1), (A, A, 1), (B, B, 1)), 1: ((B, B, 0),)}
+    assert m.transitions == tuple(Transition(*row) for row in sorted(rows))
+    # arc order is not part of a machine; everything else is
+    same = Fst(AB, 2, 0, frozenset({1}), reversed(rows))
+    assert same == m and hash(same) == hash(m) and {m: 1}[same] == 1
+    assert Fst(AB, 2, 0, frozenset({0}), rows) != m
+    assert Fst(AB, 2, 0, frozenset({1}), rows[1:]) != m
+    assert Dfa(AB, 2, 0, frozenset({1}), rows[1:3]) != Fst(AB, 2, 0, frozenset({1}), rows[1:3])
+    d = minimize(determinize(epsilon_remove(m)))
+    assert hash(d) == hash(Dfa.from_fst(d)) and Dfa.from_fst(d) == d
+    for field in ("arcs", "transitions"):
+        with pytest.raises(AttributeError):
+            setattr(d, field, {})
+
+
 def test_dfa_from_fst():
     plain = Fst(AB, 2, 0, frozenset({1}), (Transition(0, A, A, 1),))
     d = Dfa.from_fst(plain)

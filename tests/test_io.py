@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -177,6 +178,31 @@ def test_load_automaton_requires_a_clean_acceptor(tmp_path):
         load_automaton(path)
 
 
+def test_loaders_reject_text_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff\xfe a")
+    vocab = Vocabulary.from_tokens(["a"])
+    for load in (load_vocab, lambda p: load_merges(p, vocab), load_automaton):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+            load(path)
+    code, out, err = run_cli(capsys, "tokenize", "--mode", "maxmatch",
+                             "--vocab", path, "--input", "a")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000], ids=["deep", "long"])
+def test_load_automaton_rejects_json_the_parser_gives_up_on(tmp_path, capsys, text):
+    # nesting past the recursion limit, and an integer past the digit limit
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not valid JSON"):
+        load_automaton(path)
+    code, out, err = run_cli(capsys, "mask", "--automaton", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_empty_automaton_round_trips(tmp_path):
     vocab = Vocabulary.from_tokens(["a"])
     d = promote_agnostic(compile_pattern("a[^a]", vocab.table), vocab).dfa
@@ -313,6 +339,21 @@ def test_cli_mask_rejects_an_untrimmed_automaton(workdir, capsys):
     code, out, err = run_cli(capsys, "mask", "--automaton", path)
     assert (code, out) == (1, "")
     assert "must be trim" in err
+
+
+def test_cli_machines_grow_with_their_arcs_not_their_state_count(workdir, capsys):
+    # states without arcs take no room, so a huge declared count costs nothing
+    doc = {"symbols": ["r"], "num_states": 10**12, "start": 0, "finals": [0],
+           "transitions": [[0, 2, 2, 0]]}
+    path = workdir / "huge.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "mask", "--automaton", path)
+    assert (code, out) == (1, "")
+    assert "must be trim" in err
+    code, out, _ = run_cli(capsys, "enumerate", "--automaton", path, "--max-len", "2")
+    assert (code, out.splitlines()) == (0, ["ε", "r", "r r"])
+    assert time.perf_counter() - started < 2
 
 
 def test_cli_error_exits(workdir, capsys):

@@ -19,6 +19,7 @@ from tokfst import (
     iter_segmentations,
     maxmatch_tokenize,
 )
+from tokfst.symbols import RESERVED
 
 from helpers import random_merge_tokenizer, random_vocab, transduce
 
@@ -195,6 +196,15 @@ def test_gadget_with_absent_operand_is_the_identity():
     g = build_merge_gadget((table.id("a"), table.id("b")), frozenset({table.id("c")}), table)
     seq = (table.id("c"),) * 3
     assert transduce(g.fst, table, seq) == {seq}
+
+
+def test_gadget_rejects_alphabet_ids_that_name_no_token():
+    # the gadget is built unvalidated, so its builder checks the alphabet
+    table = RACE.table
+    c, e = table.id("c"), table.id("e")
+    for bad in (EPSILON, FAILURE, RESERVED + len(table)):
+        with pytest.raises(ValueError, match=f"id {bad} "):
+            build_merge_gadget((c, e), frozenset({bad, c, e}), table)
 
 
 def test_gadget_requires_the_result_token():

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import tokfst.fst
 import tokfst.promote
 from tokfst import (
     AlphabetError,
@@ -17,6 +18,7 @@ from tokfst import (
     ConfigError,
     Dfa,
     EnumerationError,
+    StubLM,
     SymbolTable,
     Transition,
     Vocabulary,
@@ -24,6 +26,7 @@ from tokfst import (
     canonical_form,
     check_promotion,
     compile_pattern,
+    constrained_decode,
     enumerate_language,
     language_by_chars,
     maxmatch_tokenize,
@@ -292,6 +295,22 @@ def test_stages_run_one_walk_and_the_chained_schedule_the_operators(monkeypatch)
     a = compile_pattern("bcababcc", SECT52.vocab.table)
     promote_bpe_chained(a, SECT52)
     assert calls == ["project_output", "epsilon_remove", "determinize"]
+
+
+def test_operations_build_no_transition_records(monkeypatch):
+    # operations read and write per-state arcs; `Transition` records are made
+    # only for a caller who reads `transitions`
+    built = []
+    record = tokfst.fst.Transition
+    monkeypatch.setattr(tokfst.fst, "Transition", lambda *row: built.append(row) or record(*row))
+    results = list(_fixture_promotions())
+    d = promote_agnostic(compile_pattern("racecar", RACE.table), RACE).dfa
+    canonical = lambda text: maxmatch_tokenize(text, RACE)
+    out = constrained_decode(StubLM(1), d, retokenize_with=canonical)
+    assert [RACE.table.token(i) for i in out] == ["race", "car"]
+    assert {r.mode for r in results} == {"agnostic", "maxmatch", "bpe"}
+    assert built == []
+    assert len(d.transitions) == len(built) > 0
 
 
 # ---------------------------------------------------------------------------
