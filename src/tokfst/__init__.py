@@ -30,7 +30,6 @@ from .fst import (
     determinize,
     enumerate_language,
     epsilon_remove,
-    kleene_star_closure,
     minimize,
     project_output,
     trim,
@@ -52,7 +51,7 @@ from .lexicon import (
     build_maxmatch_transducer,
     build_merge_gadget,
 )
-from .pattern import compile_pattern, parse_pattern
+from .pattern import compile_pattern
 from .promote import (
     PromotionResult,
     StageStats,
@@ -124,14 +123,12 @@ __all__ = [
     "epsilon_remove",
     "export_dot",
     "iter_segmentations",
-    "kleene_star_closure",
     "language_by_chars",
     "load_automaton",
     "load_merges",
     "load_vocab",
     "maxmatch_tokenize",
     "minimize",
-    "parse_pattern",
     "project_output",
     "promote_agnostic",
     "promote_bpe",

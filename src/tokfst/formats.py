@@ -134,14 +134,18 @@ def load_automaton(path: str | Path) -> Dfa:
 def export_dot(m: Fst, path: str | Path | None = None) -> str:
     """Graphviz rendering; final states are double circles, arc labels are
     input:output with the reserved symbols shown as their glyphs, and with
-    backslashes and double quotes escaped."""
+    backslashes and double quotes escaped. The states listed are the start,
+    the finals and those an arc touches, so the output grows with the arcs
+    and not with the declared state count."""
     table = m.table
     lines = [
         "digraph fst {",
         "  rankdir=LR;",
         '  hidden [shape=point, style=invis];',
     ]
-    for q in range(m.num_states):
+    shown = {m.start, *m.finals, *m.arcs}
+    shown.update(dst for arcs in m.arcs.values() for _, _, dst in arcs)
+    for q in sorted(shown):
         shape = "doublecircle" if q in m.finals else "circle"
         lines.append(f"  {q} [shape={shape}];")
     lines.append(f"  hidden -> {m.start};")

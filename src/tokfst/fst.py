@@ -398,16 +398,6 @@ def minimize(d: Dfa) -> Dfa:
     return _renumber(t, dict(enumerate(block)), len(signatures))
 
 
-def kleene_star_closure(t: Fst) -> Fst:
-    """Close a machine under concatenation: every final state gets an
-    epsilon arc back to the start, and the start state is made final so the
-    empty pair is accepted."""
-    arcs = dict(t.arcs)
-    for q in t.finals:
-        arcs[q] = tuple(sorted(arcs.get(q, ()) + ((EPSILON, EPSILON, t.start),)))
-    return Fst._trusted(t.table, t.num_states, t.start, t.finals | {t.start}, arcs)
-
-
 def canonical_form(d: Dfa) -> Dfa:
     """Renumber states in breadth-first discovery order over sorted labels.
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .fst import EPSILON, FAILURE, Fst, kleene_star_closure
+from .fst import EPSILON, FAILURE, Fst
 from .symbols import RESERVED, SymbolTable
 from .tokenizers import Vocabulary
 
@@ -46,25 +46,23 @@ def build_lexicon_transducer(v: Vocabulary) -> Fst:
     """The agnostic character-to-subword transducer.
 
     Trie paths consume one character per arc emitting nothing; each token's
-    node carries one consuming-nothing arc that emits the token and jumps to
-    a shared final state. The machine is then closed under concatenation, so
-    it relates every string to every segmentation of it.
+    node carries one consuming-nothing arc that emits the token and returns
+    to the root. The root is the start and the only final state, so the
+    machine relates every string to every segmentation of it.
     """
     table = v.table
     children = _trie_prefixes(table.tokens)
     order = _bfs_order(children)
     ids = {prefix: n for n, prefix in enumerate(order)}
-    sink = len(order)
 
     arcs: list[tuple[int, int, int, int]] = []
     for prefix in order:
         for ch, child in children[prefix].items():
             arcs.append((ids[prefix], table.id(ch), EPSILON, ids[child]))
     for token in table.tokens:
-        arcs.append((ids[token], EPSILON, table.id(token), sink))
+        arcs.append((ids[token], EPSILON, table.id(token), 0))
 
-    single = Fst(table, sink + 1, 0, frozenset([sink]), arcs)
-    return kleene_star_closure(single)
+    return Fst(table, len(order), 0, frozenset([0]), arcs)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,14 @@ Supported syntax: literals, `.` (any single character in the alphabet),
 character classes `[abc]` / `[a-z]` / negated `[^...]`, grouping `(...)`
 nested at most MAX_GROUP_DEPTH deep, alternation `|`, and the postfix
 quantifiers `*`, `+`, `?`.
+
+A pattern is compiled in one pass, as Thompson's construction was: each
+grammar rule emits its automaton fragment while it reads, so no syntax tree
+is built. The fragments form an epsilon NFA, which is then made
+deterministic and minimal.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import AlphabetError, PatternSyntaxError
 from .fst import Dfa, Fst, determinize, epsilon_remove, minimize
@@ -18,49 +21,24 @@ _QUANTIFIERS = ("*", "+", "?")
 MAX_GROUP_DEPTH = 100  # deeper nesting is a syntax error, not a RecursionError
 
 
-# -- AST ---------------------------------------------------------------------
+class _Compiler:
+    """Recursive descent over the grammar alt -> concat ('|' concat)*. Each
+    rule returns the (start, final) pair of its Thompson fragment, and all
+    fragments share one growing arc list.
 
+    A syntax error anywhere outranks an unknown character, so the first
+    unknown character in text order is only noted while reading, and raised
+    once the whole text has parsed."""
 
-@dataclass(frozen=True)
-class Literal:
-    char: str
-
-
-@dataclass(frozen=True)
-class CharClass:
-    chars: frozenset[str]
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class AnyChar:
-    pass
-
-
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Alternation:
-    options: tuple
-
-
-@dataclass(frozen=True)
-class Repeat:
-    inner: object
-    min_count: int  # 0 or 1
-    unbounded: bool
-
-
-class _Parser:
-    """Recursive descent over the grammar alt -> concat ('|' concat)*."""
-
-    def __init__(self, text: str):
+    def __init__(self, text: str, table: SymbolTable):
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.table = table
+        self.known = frozenset(table.token(i) for i in table.char_ids())
+        self.unknown: str | None = None
+        self.arcs: list[tuple[int, int, int, int]] = []
+        self.count = 0
 
     def error(self, message: str) -> PatternSyntaxError:
         return PatternSyntaxError(message, self.pos)
@@ -73,42 +51,69 @@ class _Parser:
         self.pos += 1
         return ch
 
-    def parse(self):
-        node = self.alternation()
+    def state(self) -> int:
+        self.count += 1
+        return self.count - 1
+
+    def eps(self, src: int, dst: int) -> None:
+        self.arcs.append((src, EPSILON, EPSILON, dst))
+
+    def compile(self) -> Fst:
+        start, end = self.alternation()
         if self.pos != len(self.text):
             raise self.error(f"unexpected {self.text[self.pos]!r}")
-        return node
+        if self.unknown is not None:
+            raise AlphabetError(
+                f"pattern character {self.unknown!r} is not covered by the vocabulary"
+            )
+        return Fst(self.table, self.count, start, frozenset([end]), self.arcs)
 
-    def alternation(self):
+    def alternation(self) -> tuple[int, int]:
         options = [self.concat()]
         while self.peek() == "|":
             self.take()
             options.append(self.concat())
-        return options[0] if len(options) == 1 else Alternation(tuple(options))
+        if len(options) == 1:
+            return options[0]
+        start, end = self.state(), self.state()
+        for s, e in options:
+            self.eps(start, s)
+            self.eps(e, end)
+        return start, end
 
-    def concat(self):
+    def concat(self) -> tuple[int, int]:
         parts = []
         while self.peek() is not None and self.peek() not in "|)":
             parts.append(self.repeat())
-        if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
+        if not parts:
+            q = self.state()  # the empty concatenation accepts the empty string
+            return q, q
+        for (_, e1), (s2, _) in zip(parts, parts[1:]):
+            self.eps(e1, s2)
+        return parts[0][0], parts[-1][1]
 
-    def repeat(self):
+    def repeat(self) -> tuple[int, int]:
         """An atom and its quantifiers. Stacked quantifiers fold into one
-        Repeat (minimum counts multiply, unboundedness ors), so a*+? is a*
-        and the tree stays shallow."""
-        node = self.atom()
+        repetition (minimum counts multiply, unboundedness ors), so a*+? is
+        a* and the fragment stays small."""
+        s, e = self.atom()
         if self.peek() not in _QUANTIFIERS:
-            return node
+            return s, e
         min_count, unbounded = 1, False
         while self.peek() in _QUANTIFIERS:
             op = self.take()
             min_count *= 1 if op == "+" else 0
             unbounded = unbounded or op != "?"
-        return Repeat(node, min_count, unbounded)
+        start, end = self.state(), self.state()
+        self.eps(start, s)
+        self.eps(e, end)
+        if min_count == 0:
+            self.eps(start, end)
+        if unbounded:
+            self.eps(e, s)
+        return start, end
 
-    def atom(self):
+    def atom(self) -> tuple[int, int]:
         """Reached through `concat` only, so a character other than `|` and
         `)` is always left."""
         ch = self.peek()
@@ -117,31 +122,29 @@ class _Parser:
                 raise self.error(f"groups nested deeper than {MAX_GROUP_DEPTH}")
             self.take()
             self.depth += 1
-            node = self.alternation()
+            fragment = self.alternation()
             if self.peek() != ")":
                 raise self.error("unclosed group")
             self.take()
             self.depth -= 1
-            return node
+            return fragment
         if ch == "[":
             return self.char_class()
         if ch == ".":
             self.take()
-            return AnyChar()
+            return self.one_of(self.known)
         if ch in _QUANTIFIERS:
             raise self.error(f"quantifier {ch!r} has nothing to repeat")
         if ch == "\\":
             self.take()
             if self.peek() is None:
                 raise self.error("dangling escape")
-            return Literal(self.take())
-        return Literal(self.take())
+        return self.one_of({self.take()})
 
-    def char_class(self):
+    def char_class(self) -> tuple[int, int]:
         self.take()  # [
-        negated = False
-        if self.peek() == "^":
-            negated = True
+        negated = self.peek() == "^"
+        if negated:
             self.take()
         chars: set[str] = set()
         while True:
@@ -152,7 +155,7 @@ class _Parser:
                 if not chars:
                     raise self.error("empty character class")
                 self.take()
-                return CharClass(frozenset(chars), negated)
+                return self.one_of(self.known - chars if negated else chars)
             if ch == "\\":
                 self.take()
                 if self.peek() is None:
@@ -169,91 +172,17 @@ class _Parser:
             else:
                 chars.add(lo)
 
-
-def parse_pattern(text: str):
-    """Parse to an AST without resolving characters against any alphabet."""
-    return _Parser(text).parse()
-
-
-# -- compilation -------------------------------------------------------------
-
-
-class _Builder:
-    """Thompson construction; each fragment is a (start, final) pair and all
-    fragments share one growing arc list."""
-
-    def __init__(self, table: SymbolTable):
-        self.table = table
-        self.chars = sorted(
-            self.table.token(i) for i in self.table.char_ids()
-        )
-        self.arcs: list[tuple[int, int, int, int]] = []
-        self.count = 0
-
-    def state(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def arc(self, src: int, sym: int, dst: int) -> None:
-        self.arcs.append((src, sym, sym, dst))
-
-    def eps(self, src: int, dst: int) -> None:
-        self.arcs.append((src, EPSILON, EPSILON, dst))
-
-    def chars_for(self, node) -> list[str]:
-        if isinstance(node, Literal):
-            if node.char not in self.chars:
-                raise AlphabetError(
-                    f"pattern character {node.char!r} is not covered by the vocabulary"
-                )
-            return [node.char]
-        if isinstance(node, AnyChar):
-            return self.chars
-        if isinstance(node, CharClass):
-            if node.negated:
-                picked = [c for c in self.chars if c not in node.chars]
-            else:
-                unknown = sorted(c for c in node.chars if c not in self.chars)
-                if unknown:
-                    raise AlphabetError(
-                        f"pattern character {unknown[0]!r} is not covered by the vocabulary"
-                    )
-                picked = sorted(node.chars)
-            return picked
-        raise TypeError(f"not a character node: {node!r}")
-
-    def build(self, node) -> tuple[int, int]:
-        if isinstance(node, (Literal, AnyChar, CharClass)):
-            start, end = self.state(), self.state()
-            for ch in self.chars_for(node):
-                self.arc(start, self.table.id(ch), end)
-            return start, end
-        if isinstance(node, Concat):
-            if not node.parts:
-                q = self.state()  # empty concat accepts the empty string
-                return q, q
-            frags = [self.build(part) for part in node.parts]
-            for (_, e1), (s2, _) in zip(frags, frags[1:]):
-                self.eps(e1, s2)
-            return frags[0][0], frags[-1][1]
-        if isinstance(node, Alternation):
-            start, end = self.state(), self.state()
-            for option in node.options:
-                s, e = self.build(option)
-                self.eps(start, s)
-                self.eps(e, end)
-            return start, end
-        if isinstance(node, Repeat):
-            start, end = self.state(), self.state()
-            s, e = self.build(node.inner)
-            self.eps(start, s)
-            self.eps(e, end)
-            if node.min_count == 0:
-                self.eps(start, end)
-            if node.unbounded:
-                self.eps(e, s)
-            return start, end
-        raise TypeError(f"unknown pattern node: {node!r}")
+    def one_of(self, chars: set[str] | frozenset[str]) -> tuple[int, int]:
+        """A fragment with one arc per character in `chars`. The smallest of
+        them that is not in the alphabet is noted, if none was before."""
+        unknown = chars - self.known
+        if unknown and self.unknown is None:
+            self.unknown = min(unknown)
+        start, end = self.state(), self.state()
+        for ch in chars & self.known:
+            sym = self.table.id(ch)
+            self.arcs.append((start, sym, sym, end))
+        return start, end
 
 
 def compile_pattern(text: str, table: SymbolTable) -> Dfa:
@@ -261,14 +190,5 @@ def compile_pattern(text: str, table: SymbolTable) -> Dfa:
 
     Every arc symbol is a single-character token id from `table`.
     """
-    ast = parse_pattern(text)
-    builder = _Builder(table)
-    start, end = builder.build(ast)
-    nfa = Fst(
-        table,
-        builder.count,
-        start,
-        frozenset([end]),
-        builder.arcs,
-    )
+    nfa = _Compiler(text, table).compile()
     return minimize(determinize(epsilon_remove(nfa)))

@@ -29,7 +29,6 @@ from tokfst import (
     promote_bpe,
     trim,
 )
-from tokfst.pattern import Alternation, AnyChar, CharClass, Concat, Literal, Repeat
 
 # ---------------------------------------------------------------------------
 # small machine constructors
@@ -83,59 +82,7 @@ def enumerate_pairs(machine: Fst, max_len: int,
 
 
 # ---------------------------------------------------------------------------
-# reference regex matcher (independent of the Thompson compiler)
-
-
-def brute_match(node, text: str, chars: str) -> bool:
-    """Backtracking-free position-set matcher over the parsed tree."""
-    return len(text) in _ends(node, text, 0, chars)
-
-
-def _ends(node, text: str, start: int, chars: str) -> set[int]:
-    if isinstance(node, Literal):
-        if start < len(text) and text[start] == node.char:
-            return {start + 1}
-        return set()
-    if isinstance(node, AnyChar):
-        if start < len(text) and text[start] in chars:
-            return {start + 1}
-        return set()
-    if isinstance(node, CharClass):
-        allowed = set(node.chars)
-        if node.negated:
-            allowed = set(chars) - allowed
-        if start < len(text) and text[start] in allowed:
-            return {start + 1}
-        return set()
-    if isinstance(node, Concat):
-        positions = {start}
-        for part in node.parts:
-            positions = {e for p in positions for e in _ends(part, text, p, chars)}
-            if not positions:
-                break
-        return positions
-    if isinstance(node, Alternation):
-        out: set[int] = set()
-        for branch in node.options:
-            out |= _ends(branch, text, start, chars)
-        return out
-    if isinstance(node, Repeat):
-        base = {start}
-        for _ in range(node.min_count):
-            base = {e for p in base for e in _ends(node.inner, text, p, chars)}
-            if not base:
-                return set()
-        if not node.unbounded:
-            # `?`: the single application is optional
-            return base | {e for p in base for e in _ends(node.inner, text, p, chars)}
-        total = set(base)
-        frontier = set(base)
-        while frontier:
-            step = {e for p in frontier for e in _ends(node.inner, text, p, chars)}
-            frontier = step - total
-            total |= step
-        return total
-    raise TypeError(f"unknown node {node!r}")
+# random pattern text
 
 
 def random_pattern_text(rng: random.Random, chars: str, depth: int) -> str:

@@ -18,7 +18,6 @@ from tokfst import (
     determinize,
     enumerate_language,
     epsilon_remove,
-    kleene_star_closure,
     minimize,
     project_output,
     trim,
@@ -108,7 +107,10 @@ def test_operations_trust_valid_operands(monkeypatch):
         Transition(1, B, A, 2),
         Transition(1, B, B, 2),
     ))
-    right = kleene_star_closure(line_dfa(AB, (A,)))
+    right = Fst(AB, 2, 0, frozenset({0, 1}), (
+        Transition(0, A, A, 1),
+        Transition(1, EPSILON, EPSILON, 0),
+    ))
     calls = []
     validate = Fst.__post_init__
 
@@ -367,17 +369,7 @@ def test_project_output_keeps_output_side():
 
 
 # ---------------------------------------------------------------------------
-# closure and enumeration
-
-
-def test_kleene_star_closure_language():
-    ab = line_dfa(AB, (A, B))
-    starred = kleene_star_closure(ab)
-    assert enumerate_language(starred, 6) == {
-        (), (A, B), (A, B, A, B), (A, B, A, B, A, B)}
-    # starring twice changes nothing
-    again = kleene_star_closure(starred)
-    assert enumerate_language(again, 6) == enumerate_language(starred, 6)
+# enumeration
 
 
 def test_enumeration_budget():

@@ -353,6 +353,11 @@ def test_cli_machines_grow_with_their_arcs_not_their_state_count(workdir, capsys
     assert "must be trim" in err
     code, out, _ = run_cli(capsys, "enumerate", "--automaton", path, "--max-len", "2")
     assert (code, out.splitlines()) == (0, ["ε", "r", "r r"])
+    # DOT lists only the start, the finals and the states an arc touches
+    code, out, _ = run_cli(capsys, "dot", "--automaton", path)
+    assert code == 0
+    assert re.findall(r"^  \d+ \[shape=\w+\];$", out, re.M) == ["  0 [shape=doublecircle];"]
+    assert '  0 -> 0 [label="r:r"];' in out
     assert time.perf_counter() - started < 2
 
 
