@@ -88,11 +88,15 @@ class Fst:
                     raise ValueError(f"state {q} has two arcs on symbol {inp}")
         object.__setattr__(self, "arcs", arcs)
 
+    # True on a machine built with every state reachable from the start
+    _reachable = False
+
     @classmethod
-    def _trusted(cls, table, num_states, start, finals, arcs, *, trim=False):
+    def _trusted(cls, table, num_states, start, finals, arcs, *, trim=False, reachable=False):
         """Store the fields unchecked: for results derived from valid machines,
         with `finals` a frozenset and `arcs` already in the stored form.
-        `trim=True` records a machine built trim, so `_live` needs no walk."""
+        `trim=True` records a machine built trim, so `_live` needs no walk;
+        `reachable=True` one built reachable, so `_live` walks backward only."""
         m = object.__new__(cls)
         m.__dict__.update(
             table=table, num_states=num_states, start=start,
@@ -100,6 +104,8 @@ class Fst:
         )
         if trim:
             m.__dict__["_live"] = range(num_states) if finals else frozenset()
+        elif reachable:
+            m.__dict__["_reachable"] = True
         return m
 
     @cached_property
@@ -115,12 +121,15 @@ class Fst:
     @cached_property
     def _live(self) -> Collection[int]:
         """States reachable from the start that can also reach a final state."""
-        fwd = {q: [dst for _, _, dst in arcs] for q, arcs in self.arcs.items()}
         bwd: dict[int, list[int]] = defaultdict(list)
-        for q, targets in fwd.items():
-            for dst in targets:
+        for q, arcs in self.arcs.items():
+            for _, _, dst in arcs:
                 bwd[dst].append(q)
-        return _reach([self.start], fwd) & _reach(self.finals, bwd)
+        live = _reach(self.finals, bwd)
+        if self._reachable:
+            return live
+        fwd = {q: [dst for _, _, dst in arcs] for q, arcs in self.arcs.items()}
+        return _reach([self.start], fwd) & live
 
     @cached_property
     def input_alphabet(self) -> frozenset[int]:
@@ -183,7 +192,7 @@ def _discover(cls: type[Fst], table: SymbolTable, start, expand) -> Fst:
             numbered.append((inp, out, dst))
         if numbered:
             arcs[src] = tuple(sorted(numbered))
-    return cls._trusted(table, len(order), 0, frozenset(finals), arcs)
+    return cls._trusted(table, len(order), 0, frozenset(finals), arcs, reachable=True)
 
 
 def _renumber(a: Fst, renum: Mapping[int, int], num_states: int) -> Fst:

@@ -4,14 +4,18 @@ subword tokens.
 Three pipelines share one loop of stages. Each stage composes the current
 machine with a transducer, makes one subset construction over the output
 side of the composition that also passes over arcs emitting nothing, and
-minimizes; results are in canonical form.
+minimizes; results are in canonical form. A stage whose transducer would be
+the identity on the current language does none of this and keeps the
+machine.
 
 * agnostic: compose with the lexicon transducer; accepts every segmentation
   of every matching string.
 * maxmatch: compose with the greedy longest-match transducer; accepts only
   the longest-match segmentation of each matching string.
-* bpe: compose with one merge gadget per merge, re-minimizing between
-  stages; accepts only the byte-pair segmentation of each matching string.
+* bpe: one stage per merge, in priority order, re-minimizing between
+  stages; a merge gadget is built and composed only when the merge's pair
+  occurs in the current machine. Accepts only the byte-pair segmentation of
+  each matching string.
 
 Lexicon and merge stages are deterministic by construction, so their subset
 construction never merges targets; maxmatch stages sometimes need it.
@@ -89,19 +93,30 @@ def _promote(
     a: Dfa,
     v: Vocabulary,
     mode: str,
-    stages: Iterable[tuple[str, Callable[[Dfa], Fst]]],
+    stages: Iterable[tuple[str, Callable[[Dfa], Fst | None]]],
     stage_hook: Callable[[str, Dfa], None] | None = None,
 ) -> PromotionResult:
     """Run each stage on the current machine. A stage is a label and a
-    builder of its transducer from the current machine. An empty pattern, or
-    a pipeline without stages, gets one clean-up stage labelled "empty" or
-    "identity" instead."""
+    builder of its transducer from the current machine, which returns None
+    when the transducer would be the identity on the machine's language;
+    such a stage keeps the machine and its sizes. The first stage settles the
+    pattern in canonical minimal form either way, as every stage result is.
+    An empty pattern, or a pipeline without stages, gets one clean-up stage
+    labelled "empty" or "identity" instead."""
     current = _checked_pattern(a, v)
     stats: list[StageStats] = []
     if current.finals:
         for label, build in stages:
             started = time.perf_counter()
-            current, st = _stage(label, started, compose(current, build(current)))
+            transducer = build(current)
+            if transducer is not None:
+                current, st = _stage(label, started, compose(current, transducer))
+            elif stats:
+                kept = stats[-1]
+                st = StageStats(label, kept.states, kept.transitions,
+                                time.perf_counter() - started, True)
+            else:
+                current, st = _stage(label, started, current)
             stats.append(st)
             if stage_hook is not None:
                 stage_hook(label, current)
@@ -131,18 +146,34 @@ def promote_bpe(
 ) -> PromotionResult:
     """Token-level automaton accepting only byte-pair segmentations.
 
-    One gadget per merge, applied in priority order; each gadget runs over
-    the symbols the current machine can emit, and the machine is
-    re-minimized between stages. The optional stage_hook receives every
-    intermediate result.
+    One stage per merge, in priority order. A merge gadget is built and
+    composed only when the merge's pair occurs in the current machine; it
+    runs over the symbols the machine can emit, and the machine is
+    re-minimized after it. The optional stage_hook receives every
+    intermediate result, one per merge.
     """
     table = t.vocab.table
+
+    def gadget(d: Dfa, pair: tuple[int, int]) -> Fst | None:
+        if not _pair_occurs(d, *pair):
+            return None  # the gadget would map every accepted sequence to itself
+        return build_merge_gadget(pair, d.input_alphabet, table).fst
+
     stages = [
-        (f"merge {n} ({table.token(x)}+{table.token(y)})",
-         lambda d, pair=(x, y): build_merge_gadget(pair, d.input_alphabet, table).fst)
+        (f"merge {n} ({table.token(x)}+{table.token(y)})", lambda d, pair=(x, y): gadget(d, pair))
         for n, (x, y) in enumerate(t.merges, 1)
     ]
     return _promote(a, t.vocab, "bpe", stages, stage_hook)
+
+
+def _pair_occurs(d: Dfa, x: int, y: int) -> bool:
+    """Whether some arc on x enters a state with an arc on y. Every machine
+    a stage sees is trim, so this holds exactly when some accepted sequence
+    contains x y, that is when the merge (x, y) changes the language: it
+    rewrites that sequence into one holding the token xy, which no accepted
+    sequence holds yet."""
+    after_x = {dst for arcs in d.arcs.values() for inp, _, dst in arcs if inp == x}
+    return any(inp == y for q in after_x for inp, _, _ in d.arcs.get(q, ()))
 
 
 def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:

@@ -144,10 +144,12 @@ class BpeTokenizer:
         return tuple((table.token(x), table.token(y)) for x, y in self.merges)
 
     def tokenize(self, text: str) -> tuple[int, ...]:
-        """Apply the merge list in order, one full pass per merge."""
+        """Apply the merge list in order, one full pass per merge whose left
+        operand occurs in the sequence; the others cannot act."""
         seq = self.vocab.encode_chars(text)
         for merge in self.merges:
-            seq = apply_merge(seq, merge, self.vocab.table)
+            if merge[0] in seq:
+                seq = apply_merge(seq, merge, self.vocab.table)
         return seq
 
     def tokenize_incremental(self, text: str) -> tuple[int, ...]:

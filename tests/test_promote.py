@@ -38,6 +38,8 @@ from tokfst import (
 )
 from tokfst.promote import expected_promotion
 
+from helpers import random_merge_tokenizer, random_pattern_text
+
 FIG4 = Vocabulary.from_tokens(["a", "b", "c", "ab", "abc", "bc"])
 FIG6 = Vocabulary.from_tokens(["a", "b", "aa", "ab"])
 SECT52 = BpeTokenizer.from_token_pairs(
@@ -218,17 +220,29 @@ def test_bpe_stage_hook_sees_every_stage():
 
 def test_stage_time_covers_the_build_and_compose(monkeypatch):
     compose = tokfst.promote.compose
+    calls = []
 
     def slow(left, right):
         time.sleep(0.05)
+        calls.append(1)
         return compose(left, right)
+
+    stage_composed = []
+
+    def hook(*_):
+        stage_composed.append(bool(calls))
+        calls.clear()
 
     monkeypatch.setattr(tokfst.promote, "compose", slow)
     vocab = SECT52.vocab
     a = compile_pattern("abcc", vocab.table)
-    for r in (promote_agnostic(a, vocab), promote_maxmatch(a, vocab), promote_bpe(a, SECT52)):
+    for r in (promote_agnostic(a, vocab), promote_maxmatch(a, vocab)):
         assert r.stats
         assert all(s.seconds >= 0.05 for s in r.stats), r.mode
+    r = promote_bpe(a, SECT52, stage_hook=hook)
+    # a+b and c+c act on "abcc"; b+c and ab+c then find no pair to merge
+    assert stage_composed == [True, False, True, False]
+    assert all(s.seconds >= 0.05 for s, c in zip(r.stats, stage_composed) if c)
 
 
 def test_gadgets_run_over_the_symbols_the_machine_emits(monkeypatch):
@@ -240,10 +254,62 @@ def test_gadgets_run_over_the_symbols_the_machine_emits(monkeypatch):
         return compose(left, right)
 
     monkeypatch.setattr(tokfst.promote, "compose", recording)
+    live = 0
     for pattern, tok in [("bcababcc", SECT52), ("...?.?.?.?", FIG7)]:
-        promote_bpe(compile_pattern(pattern, tok.vocab.table), tok)
-    assert len(operands) == len(SECT52.merges) + len(FIG7.merges)
+        machines = [compile_pattern(pattern, tok.vocab.table)]
+        promote_bpe(machines[0], tok, stage_hook=lambda _, d: machines.append(d))
+        live += sum(before != after for before, after in zip(machines, machines[1:]))
+    assert len(operands) == live > 0
     assert all(gadget <= machine for machine, gadget in operands)
+
+
+def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch):
+    compose = tokfst.promote.compose
+    calls = []
+    monkeypatch.setattr(tokfst.promote, "compose", lambda *ops: calls.append(1) or compose(*ops))
+    rng = random.Random(2718)
+    cases = [(compile_pattern(p, t.vocab.table), t)
+             for p, t in [("bcababcc", SECT52), ("(ab|c)*b?", SECT52),
+                          ("...?.?.?.?", FIG7), ("a(a|b)*d", FIG7)]]
+    while len(cases) < 40:
+        chars = "".join(sorted(rng.sample("abcd", rng.randint(1, 3))))
+        tok = random_merge_tokenizer(rng, chars, rng.randint(1, 10))
+        a = compile_pattern(random_pattern_text(rng, chars, 3), tok.vocab.table)
+        if a.finals:
+            cases.append((a, tok))
+    skipped = live = 0
+    for a, tok in cases:
+        machines, composed = [a], []  # per stage: the hooked machine, compose calls
+
+        def hook(_, d):
+            machines.append(d)
+            composed.append(len(calls))
+            calls.clear()
+
+        calls.clear()  # the chained check below composes too
+        r = promote_bpe(a, tok, stage_hook=hook)
+        assert len(r.stats) == len(composed) == len(tok.merges)
+        for before, after, n, st in zip(machines, machines[1:], composed, r.stats):
+            assert n == int(after != before)
+            assert (st.states, st.transitions) == (
+                after.num_states, sum(map(len, after.arcs.values())))
+            assert n or st.deterministic_before_minimize
+            live += n
+            skipped += 1 - n
+        assert r.dfa == canonical_form(promote_bpe_chained(a, tok))
+    assert skipped > 20 and live > 20
+
+
+def test_skipped_first_stages_still_settle_a_caller_built_pattern():
+    # an unminimized pattern whose first merge cannot act: the stage result
+    # is the canonical minimal machine, as a composed stage would give
+    table = SECT52.vocab.table
+    a_, b_ = table.id("a"), table.id("b")
+    redundant = Dfa(table, 4, 0, {2, 3}, [(0, b_, b_, 1), (1, a_, a_, 2), (0, a_, a_, 3)])
+    r = promote_bpe(redundant, SECT52)
+    assert r.dfa == canonical_form(promote_bpe_chained(redundant, SECT52))
+    assert promotion_stats(r) == (3, 3, 3, 3)
+    assert r.dfa.num_states == 3
 
 
 def test_chained_composition_agrees_with_the_staged_schedule():

@@ -105,6 +105,30 @@ def test_bpe_algorithms_agree_randomized():
         tok = random_merge_tokenizer(rng, chars, rng.randint(0, 12))
         text = "".join(rng.choice(chars) for _ in range(rng.randint(0, 20)))
         assert tok.tokenize(text) == tok.tokenize_incremental(text)
+    # `tokenize` passes over a merge whose left operand is absent; these texts
+    # hold left operands with and without their right operand after them,
+    # and one-character alphabets make self-pairs like (a, a) common
+    rng = random.Random(4099)
+    self_pairs = 0
+    for _ in range(300):
+        chars = "".join(sorted(rng.sample("abcd", rng.randint(1, 4))))
+        tok = random_merge_tokenizer(rng, chars, rng.randint(1, 12))
+        table = tok.vocab.table
+        self_pairs += sum(x == y for x, y in tok.merges)
+        pieces = []
+        for x, y in rng.sample(tok.merges, min(4, len(tok.merges))):
+            x, y = table.token(x), table.token(y)
+            other = [c for c in chars if c != y[0]]
+            pieces.append(x + rng.choice(other) if other else x)
+            if rng.random() < 0.5:
+                pieces.append(x + y)
+        rng.shuffle(pieces)
+        text = "".join(pieces) + "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))
+        every_merge = tok.vocab.encode_chars(text)
+        for merge in tok.merges:
+            every_merge = apply_merge(every_merge, merge, table)
+        assert tok.tokenize(text) == tok.tokenize_incremental(text) == every_merge, text
+    assert self_pairs > 50
 
 
 def test_bpe_output_is_a_fixed_point():
