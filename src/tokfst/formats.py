@@ -80,7 +80,7 @@ def save_automaton(m: Fst, path: str | Path) -> None:
         "num_states": m.num_states,
         "start": m.start,
         "finals": sorted(m.finals),
-        "transitions": [list(t) for t in m.transitions],
+        "transitions": [[q, *arc] for q in sorted(m.arcs) for arc in m.arcs[q]],
     }
     _atomic_write(path, json.dumps(doc, ensure_ascii=False, indent=1) + "\n")
 
@@ -112,7 +112,9 @@ def load_automaton(path: str | Path) -> Dfa:
     if not isinstance(transitions, list):
         raise ValidationError(f"{path}: transitions: expected a list")
     for n, row in enumerate(transitions):
-        if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)):
+        # `type(...) is int` also rejects JSON booleans
+        if not (type(row) is list and len(row) == 4 and type(row[0]) is int
+                and type(row[1]) is int and type(row[2]) is int and type(row[3]) is int):
             raise ValidationError(f"{path}: transitions[{n}]: expected 4 integers")
 
     try:
@@ -149,10 +151,11 @@ def export_dot(m: Fst, path: str | Path | None = None) -> str:
         shape = "doublecircle" if q in m.finals else "circle"
         lines.append(f"  {q} [shape={shape}];")
     lines.append(f"  hidden -> {m.start};")
-    for t in m.transitions:
-        label = f"{table.display(t.inp)}:{table.display(t.out)}"
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  {t.src} -> {t.dst} [label="{label}"];')
+    for q in sorted(m.arcs):
+        for inp, out, dst in m.arcs[q]:
+            label = f"{table.display(inp)}:{table.display(out)}"
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {q} -> {dst} [label="{label}"];')
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if path is not None:

@@ -5,7 +5,8 @@
 * the greedy longest-match transducer (a trie with failure arcs that pop
   pending tokens, so every string maps to exactly its longest-match
   segmentation),
-* merge gadgets (3-state transducers applying one byte-pair merge).
+* merge gadgets (3-state transducers applying one byte-pair merge), and the
+  merge stage, which applies one merge to a DFA without building its gadget.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .fst import EPSILON, FAILURE, Fst
+from .fst import EPSILON, FAILURE, Dfa, Fst, _discover
 from .symbols import RESERVED, SymbolTable
 from .tokenizers import Vocabulary
 
@@ -158,11 +159,22 @@ class MergeGadget:
     or holds it again if it is another left operand. Finality of states 0
     and 2 lets the failure arc flush at end of input. State 1 emits the held
     token through the flush alone, so merge stages stay deterministic.
+
+    `promote_bpe_chained` composes these gadgets; `promote_bpe` applies each
+    merge through `merge_stage`, which builds the same result directly.
     """
 
     fst: Fst
     pair: tuple[int, int]
     result: int
+
+
+def _merge_result(pair: tuple[int, int], table: SymbolTable) -> int:
+    """The id of the token the merge `pair` makes."""
+    combined = table.token(pair[0]) + table.token(pair[1])
+    if combined not in table:
+        raise ConfigError(f"merge result {combined!r} is not in the vocabulary")
+    return table.id(combined)
 
 
 def build_merge_gadget(
@@ -175,10 +187,7 @@ def build_merge_gadget(
     built unchecked, so an `alphabet` id that names no token raises ValueError.
     """
     a, b = pair
-    combined = table.token(a) + table.token(b)
-    if combined not in table:
-        raise ConfigError(f"merge result {combined!r} is not in the vocabulary")
-    ab = table.id(combined)
+    ab = _merge_result(pair, table)
     for c in alphabet:
         if not RESERVED <= c < RESERVED + len(table):
             raise ValueError(f"merge gadget alphabet: id {c} does not name a token")
@@ -196,3 +205,38 @@ def build_merge_gadget(
     arcs = {q: tuple(sorted(s)) for q, s in enumerate((copying, holding, flushed)) if s}
     fst = Fst._trusted(table, 3, 0, frozenset([0, 2]), arcs)
     return MergeGadget(fst, (a, b), ab)
+
+
+def merge_stage(d: Dfa, pair: tuple[int, int]) -> Dfa:
+    """The output side of composing `d` with the gadget for `pair` over its
+    input alphabet, built as one walk over (state, phase) keys: no gadget,
+    no product machine and no subset construction.
+
+    Phase 0 is the gadget's state 0 and phase 2 its state 2, just after a
+    flush. The holding state 1 is resolved on the arc that enters it: the
+    left operand x on an arc into r becomes the result z if r has an arc on
+    the right operand y, and a flush of x into (r, 2) if r is final or has an
+    arc on a label other than y and z, which is when the composition keeps
+    the failure chain. Phase 0 copies every label but x and z; phase 2 every
+    label but x, y and z, and holds x again when x != y. `d` is
+    deterministic, so each key has one move per label and the result is a
+    DFA; a key is final iff its state is.
+    """
+    x, y = pair
+    z = _merge_result(pair, d.table)
+
+    def expand(key: tuple[int, int]) -> tuple[bool, list[tuple[int, int, tuple[int, int]]]]:
+        q, phase = key
+        moves = []
+        for inp, _, dst in d.arcs.get(q, ()):
+            if inp == x and (phase == 0 or x != y):
+                r_arcs = d.arcs.get(dst, ())
+                moves.extend((z, z, (s, 0)) for inp2, _, s in r_arcs if inp2 == y)
+                if dst in d.finals or any(inp2 != y and inp2 != z for inp2, _, _ in r_arcs):
+                    moves.append((x, x, (dst, 2)))
+            elif inp != z and (phase == 0 or inp != y):
+                moves.append((inp, inp, (dst, 0)))
+        moves.sort()  # labels are distinct: number the targets in label order
+        return q in d.finals, moves
+
+    return _discover(Dfa, d.table, (d.start, 0), expand)

@@ -1,21 +1,22 @@
 """Pattern promotion: lift a character-level pattern automaton to one over
 subword tokens.
 
-Three pipelines share one loop of stages. Each stage composes the current
-machine with a transducer, makes one subset construction over the output
-side of the composition that also passes over arcs emitting nothing, and
-minimizes; results are in canonical form. A stage whose transducer would be
-the identity on the current language does none of this and keeps the
-machine.
+Three pipelines share one loop of stages. Each stage builds the output side
+of the current machine under its transducer as a DFA, and minimizes;
+results are in canonical form. A stage whose transducer would be the
+identity on the current language does none of this and keeps the machine.
 
-* agnostic: compose with the lexicon transducer; accepts every segmentation
-  of every matching string.
-* maxmatch: compose with the greedy longest-match transducer; accepts only
+* agnostic: compose with the lexicon transducer, then one subset
+  construction over the output side of the composition that also passes
+  over arcs emitting nothing; accepts every segmentation of every matching
+  string.
+* maxmatch: the same with the greedy longest-match transducer; accepts only
   the longest-match segmentation of each matching string.
 * bpe: one stage per merge, in priority order, re-minimizing between
-  stages; a merge gadget is built and composed only when the merge's pair
-  occurs in the current machine. Accepts only the byte-pair segmentation of
-  each matching string.
+  stages; a merge acts only when its pair occurs in the current machine,
+  through `merge_stage`, one walk that builds what composing the merge
+  gadget would give. Accepts only the byte-pair segmentation of each
+  matching string.
 
 Lexicon and merge stages are deterministic by construction, so their subset
 construction never merges targets; maxmatch stages sometimes need it.
@@ -24,6 +25,7 @@ construction never merges targets; maxmatch stages sometimes need it.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -40,7 +42,13 @@ from .fst import (
     project_output,
     trim,
 )
-from .lexicon import build_failure_trie, build_lexicon_transducer, build_maxmatch_transducer, build_merge_gadget
+from .lexicon import (
+    build_failure_trie,
+    build_lexicon_transducer,
+    build_maxmatch_transducer,
+    build_merge_gadget,
+    merge_stage,
+)
 from .tokenizers import BpeTokenizer, Vocabulary, iter_segmentations, maxmatch_tokenize
 
 
@@ -79,10 +87,10 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     return trim(a)
 
 
-def _stage(label: str, started: float, machine: Fst) -> tuple[Dfa, StageStats]:
-    """Finish a stage whose clock the caller started before building `machine`:
-    one subset construction over its output side, then minimization."""
-    d, deterministic = _output_subsets(machine)
+def _stage(label: str, started: float, walked: tuple[Dfa, bool]) -> tuple[Dfa, StageStats]:
+    """Finish a stage whose clock the caller started before building the
+    output-side DFA `walked` and its flag: minimize and record it."""
+    d, deterministic = walked
     d = minimize(d)
     arcs = sum(map(len, d.arcs.values()))
     stats = StageStats(label, d.num_states, arcs, time.perf_counter() - started, deterministic)
@@ -93,49 +101,54 @@ def _promote(
     a: Dfa,
     v: Vocabulary,
     mode: str,
-    stages: Iterable[tuple[str, Callable[[Dfa], Fst | None]]],
+    stages: Iterable[Callable[[Dfa], tuple[str, tuple[Dfa, bool] | None]]],
     stage_hook: Callable[[str, Dfa], None] | None = None,
 ) -> PromotionResult:
-    """Run each stage on the current machine. A stage is a label and a
-    builder of its transducer from the current machine, which returns None
-    when the transducer would be the identity on the machine's language;
-    such a stage keeps the machine and its sizes. The first stage settles the
-    pattern in canonical minimal form either way, as every stage result is.
-    An empty pattern, or a pipeline without stages, gets one clean-up stage
-    labelled "empty" or "identity" instead."""
+    """Run each stage on the current machine, under its clock. A stage maps
+    the current machine to its label and to the output-side DFA of the
+    machine under the stage's transducer, with the subset construction's
+    flag; or to None when that transducer would be the identity on the
+    machine's language. Such a stage keeps the machine and its sizes. The
+    first stage settles the pattern in canonical minimal form either way, as
+    every stage result is. An empty pattern, or a pipeline without stages,
+    gets one clean-up stage labelled "empty" or "identity" instead."""
     current = _checked_pattern(a, v)
     stats: list[StageStats] = []
     if current.finals:
-        for label, build in stages:
+        for stage in stages:
             started = time.perf_counter()
-            transducer = build(current)
-            if transducer is not None:
-                current, st = _stage(label, started, compose(current, transducer))
-            elif stats:
+            label, walked = stage(current)
+            if walked is None and not stats:
+                walked = _output_subsets(current)  # settle the pattern all the same
+            if walked is None:
                 kept = stats[-1]
                 st = StageStats(label, kept.states, kept.transitions,
                                 time.perf_counter() - started, True)
             else:
-                current, st = _stage(label, started, current)
+                current, st = _stage(label, started, walked)
             stats.append(st)
             if stage_hook is not None:
                 stage_hook(label, current)
     if not stats:
         label = "identity" if current.finals else "empty"
-        current, st = _stage(label, time.perf_counter(), current)
+        current, st = _stage(label, time.perf_counter(), _output_subsets(current))
         stats.append(st)
     return PromotionResult(current, mode, tuple(stats))
 
 
 def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting every segmentation of every match."""
-    return _promote(a, v, "agnostic", [("lexicon", lambda _: build_lexicon_transducer(v))])
+    stage = lambda d: ("lexicon", _output_subsets(compose(d, build_lexicon_transducer(v))))
+    return _promote(a, v, "agnostic", [stage])
 
 
 def promote_maxmatch(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting only longest-match segmentations."""
-    build = lambda _: build_maxmatch_transducer(build_failure_trie(v))
-    return _promote(a, v, "maxmatch", [("maxmatch", build)])
+    def stage(d: Dfa) -> tuple[str, tuple[Dfa, bool]]:
+        transducer = build_maxmatch_transducer(build_failure_trie(v))
+        return "maxmatch", _output_subsets(compose(d, transducer))
+
+    return _promote(a, v, "maxmatch", [stage])
 
 
 def promote_bpe(
@@ -146,33 +159,48 @@ def promote_bpe(
 ) -> PromotionResult:
     """Token-level automaton accepting only byte-pair segmentations.
 
-    One stage per merge, in priority order. A merge gadget is built and
-    composed only when the merge's pair occurs in the current machine; it
-    runs over the symbols the machine can emit, and the machine is
-    re-minimized after it. The optional stage_hook receives every
-    intermediate result, one per merge.
+    One stage per merge, in priority order. A merge acts only when its pair
+    occurs in the current machine: `merge_stage` then builds, in one walk,
+    the DFA that composing the merge gadget over the machine's symbols would
+    give, and the machine is re-minimized after it. The optional stage_hook
+    receives every intermediate result, one per merge.
     """
     table = t.vocab.table
+    checked: Dfa | None = None  # the machine of the last check
+    entered: dict[int, set[int]] | None = None  # its arc targets by label, once indexed
 
-    def gadget(d: Dfa, pair: tuple[int, int]) -> Fst | None:
-        if not _pair_occurs(d, *pair):
-            return None  # the gadget would map every accepted sequence to itself
-        return build_merge_gadget(pair, d.input_alphabet, table).fst
+    def stage(d: Dfa, n: int, x: int, y: int) -> tuple[str, tuple[Dfa, bool] | None]:
+        nonlocal checked, entered
+        label = f"merge {n} ({table.token(x)}+{table.token(y)})"
+        if d is not checked:  # most machines a merge makes are checked once: one scan
+            checked, entered = d, None
+            after_x = {dst for arcs in d.arcs.values() for inp, _, dst in arcs if inp == x}
+        else:  # a merge kept the machine: index it once for the checks to come
+            if entered is None:
+                entered = _targets_by_label(d)
+            after_x = entered.get(x, ())
+        if not _pair_occurs(d, after_x, y):
+            return label, None  # the merge would map every accepted sequence to itself
+        return label, (merge_stage(d, (x, y)), True)
 
-    stages = [
-        (f"merge {n} ({table.token(x)}+{table.token(y)})", lambda d, pair=(x, y): gadget(d, pair))
-        for n, (x, y) in enumerate(t.merges, 1)
-    ]
+    stages = (lambda d, n=n, xy=xy: stage(d, n, *xy) for n, xy in enumerate(t.merges, 1))
     return _promote(a, t.vocab, "bpe", stages, stage_hook)
 
 
-def _pair_occurs(d: Dfa, x: int, y: int) -> bool:
-    """Whether some arc on x enters a state with an arc on y. Every machine
-    a stage sees is trim, so this holds exactly when some accepted sequence
-    contains x y, that is when the merge (x, y) changes the language: it
-    rewrites that sequence into one holding the token xy, which no accepted
-    sequence holds yet."""
-    after_x = {dst for arcs in d.arcs.values() for inp, _, dst in arcs if inp == x}
+def _targets_by_label(d: Dfa) -> dict[int, set[int]]:
+    entered: dict[int, set[int]] = defaultdict(set)
+    for arcs in d.arcs.values():
+        for inp, _, dst in arcs:
+            entered[inp].add(dst)
+    return entered
+
+
+def _pair_occurs(d: Dfa, after_x: Iterable[int], y: int) -> bool:
+    """Whether a state in after_x, the targets of the arcs on x, has an arc
+    on y. Every machine a stage sees is trim, so this holds exactly when some
+    accepted sequence contains x y, that is when the merge (x, y) changes the
+    language: it rewrites that sequence into one holding the token xy, which
+    no accepted sequence holds yet."""
     return any(inp == y for q in after_x for inp, _, _ in d.arcs.get(q, ()))
 
 

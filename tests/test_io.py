@@ -21,6 +21,7 @@ from tokfst import (
     load_merges,
     load_vocab,
     promote_agnostic,
+    promote_bpe,
     promote_maxmatch,
     save_automaton,
 )
@@ -251,6 +252,21 @@ def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     assert '[label="\\\\:\\\\"]' in text
     save_automaton(d, tmp_path / "m.json")
     assert run_cli(capsys, "dot", "--automaton", tmp_path / "m.json") == (0, text, "")
+
+
+def test_saved_and_dot_arcs_follow_the_transitions_view(tmp_path):
+    vocab = Vocabulary.from_tokens(FIG3_VOCAB)
+    (tmp_path / "merges.txt").write_text("\n".join(FIG3_MERGES) + "\n")
+    tok = load_merges(tmp_path / "merges.txt", vocab)
+    table = vocab.table
+    promoted = promote_bpe(compile_pattern("(t|o|p|l|g|y)*", table), tok).dfa
+    view = promoted.transitions
+    assert len(view) > 10
+    save_automaton(promoted, tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text())["transitions"] == [list(t) for t in view]
+    edges = [line for line in export_dot(promoted).splitlines() if " -> " in line][1:]
+    assert edges == [f'  {t.src} -> {t.dst} [label="{table.display(t.inp)}:{table.display(t.out)}"];'
+                     for t in view]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from tokfst import (
     EPSILON,
     FAILURE,
     ConfigError,
+    Dfa,
     SymbolTable,
     Vocabulary,
     apply_merge,
@@ -16,9 +17,13 @@ from tokfst import (
     build_lexicon_transducer,
     build_maxmatch_transducer,
     build_merge_gadget,
+    compose,
     iter_segmentations,
     maxmatch_tokenize,
+    trim,
 )
+from tokfst.fst import _output_subsets
+from tokfst.lexicon import merge_stage
 from tokfst.symbols import RESERVED
 
 from helpers import random_merge_tokenizer, random_vocab, transduce
@@ -211,3 +216,34 @@ def test_gadget_requires_the_result_token():
     table = SymbolTable(["a", "b"])
     with pytest.raises(ConfigError):
         build_merge_gadget((table.id("a"), table.id("b")), frozenset(table.token_ids()), table)
+
+
+def test_merge_stage_matches_the_gadget_composition():
+    table = SymbolTable(["a", "b", "c", "aa", "ab", "bc", "ca", "aab", "abc", "bca", "aaab"])
+    ids = sorted(table.token_ids())
+    pairs = [(x, y) for x in ids for y in ids if table.token(x) + table.token(y) in table]
+    rng = random.Random(65)
+    cases = self_pairs = z_present = final_flush = open_flush = 0
+    while cases < 2000:
+        x, y = pair = rng.choice(pairs)
+        z = table.id(table.token(x) + table.token(y))
+        labels = {x, y, *rng.sample(ids, rng.randint(0, 3))}
+        n = rng.randint(1, 6)
+        arcs = [(q, c, c, rng.randrange(n)) for q in range(n) for c in sorted(labels)
+                if rng.random() < 0.45]
+        finals = {q for q in range(n) if rng.random() < 0.4}
+        d = trim(Dfa(table, n, 0, finals, arcs))
+        if not d.finals:
+            continue
+        composed, deterministic = _output_subsets(
+            compose(d, build_merge_gadget(pair, d.input_alphabet, table).fst))
+        assert deterministic
+        # the same machine state for state, not only after minimization
+        assert merge_stage(d, pair) == composed, (d.arcs, d.finals, pair)
+        cases += 1
+        self_pairs += x == y
+        z_present += z in d.input_alphabet
+        held = {dst for arcs in d.arcs.values() for inp, _, dst in arcs if inp == x}
+        final_flush += not held.isdisjoint(d.finals)
+        open_flush += any(inp not in (y, z) for r in held - d.finals for inp, _, _ in d.arcs.get(r, ()))
+    assert min(self_pairs, z_present, final_flush, open_flush) > 100

@@ -219,13 +219,15 @@ def test_bpe_stage_hook_sees_every_stage():
 
 
 def test_stage_time_covers_the_build_and_compose(monkeypatch):
-    compose = tokfst.promote.compose
+    compose, walk = tokfst.promote.compose, tokfst.promote.merge_stage
     calls = []
 
-    def slow(left, right):
-        time.sleep(0.05)
-        calls.append(1)
-        return compose(left, right)
+    def slow(build):
+        def run(*operands):
+            time.sleep(0.05)
+            calls.append(1)
+            return build(*operands)
+        return run
 
     stage_composed = []
 
@@ -233,7 +235,8 @@ def test_stage_time_covers_the_build_and_compose(monkeypatch):
         stage_composed.append(bool(calls))
         calls.clear()
 
-    monkeypatch.setattr(tokfst.promote, "compose", slow)
+    monkeypatch.setattr(tokfst.promote, "compose", slow(compose))
+    monkeypatch.setattr(tokfst.promote, "merge_stage", slow(walk))
     vocab = SECT52.vocab
     a = compile_pattern("abcc", vocab.table)
     for r in (promote_agnostic(a, vocab), promote_maxmatch(a, vocab)):
@@ -246,27 +249,31 @@ def test_stage_time_covers_the_build_and_compose(monkeypatch):
 
 
 def test_gadgets_run_over_the_symbols_the_machine_emits(monkeypatch):
-    compose = tokfst.promote.compose
+    walk = tokfst.promote.merge_stage
     operands = []
 
-    def recording(left, right):
-        operands.append((left.input_alphabet, right.input_alphabet))
-        return compose(left, right)
+    def recording(d, pair):
+        after = walk(d, pair)
+        table = d.table
+        z = table.id(table.token(pair[0]) + table.token(pair[1]))
+        operands.append((d.input_alphabet, after.input_alphabet, z))
+        return after
 
-    monkeypatch.setattr(tokfst.promote, "compose", recording)
+    monkeypatch.setattr(tokfst.promote, "merge_stage", recording)
     live = 0
     for pattern, tok in [("bcababcc", SECT52), ("...?.?.?.?", FIG7)]:
         machines = [compile_pattern(pattern, tok.vocab.table)]
         promote_bpe(machines[0], tok, stage_hook=lambda _, d: machines.append(d))
         live += sum(before != after for before, after in zip(machines, machines[1:]))
     assert len(operands) == live > 0
-    assert all(gadget <= machine for machine, gadget in operands)
+    assert all(after <= before | {z} for before, after, z in operands)
 
 
 def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch):
-    compose = tokfst.promote.compose
-    calls = []
-    monkeypatch.setattr(tokfst.promote, "compose", lambda *ops: calls.append(1) or compose(*ops))
+    walk, compose = tokfst.promote.merge_stage, tokfst.promote.compose
+    calls, composed = [], []
+    monkeypatch.setattr(tokfst.promote, "merge_stage", lambda *ops: calls.append(1) or walk(*ops))
+    monkeypatch.setattr(tokfst.promote, "compose", lambda *ops: composed.append(1) or compose(*ops))
     rng = random.Random(2718)
     cases = [(compile_pattern(p, t.vocab.table), t)
              for p, t in [("bcababcc", SECT52), ("(ab|c)*b?", SECT52),
@@ -279,17 +286,19 @@ def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch)
             cases.append((a, tok))
     skipped = live = 0
     for a, tok in cases:
-        machines, composed = [a], []  # per stage: the hooked machine, compose calls
+        machines, walked = [a], []  # per stage: the hooked machine, merge_stage calls
 
         def hook(_, d):
             machines.append(d)
-            composed.append(len(calls))
+            walked.append(len(calls))
             calls.clear()
 
-        calls.clear()  # the chained check below composes too
+        calls.clear()
+        composed.clear()  # the chained check below composes
         r = promote_bpe(a, tok, stage_hook=hook)
-        assert len(r.stats) == len(composed) == len(tok.merges)
-        for before, after, n, st in zip(machines, machines[1:], composed, r.stats):
+        assert not composed
+        assert len(r.stats) == len(walked) == len(tok.merges)
+        for before, after, n, st in zip(machines, machines[1:], walked, r.stats):
             assert n == int(after != before)
             assert (st.states, st.transitions) == (
                 after.num_states, sum(map(len, after.arcs.values())))
