@@ -81,7 +81,6 @@ def constrained_decode(
     max_steps: int = 64,
     *,
     retokenize_with: Callable[[str], Sequence[int]] | None = None,
-    retokenize_every: int = 1,
 ) -> tuple[int, ...]:
     """Greedy decoding under the mask.
 
@@ -90,15 +89,13 @@ def constrained_decode(
     wins (or when nothing may follow). Hitting max_steps anywhere else is an
     error carrying the prefix generated so far.
 
-    retokenize_with enables the stop-detokenize-retokenize mitigation: every
-    retokenize_every steps the prefix is replaced by its canonical
-    tokenization, replayed through the automaton.
+    retokenize_with enables the stop-detokenize-retokenize mitigation: after
+    every step the prefix is replaced by its canonical tokenization, replayed
+    through the automaton.
     """
-    if retokenize_every < 1:
-        raise ConfigError(f"retokenize_every must be at least 1, got {retokenize_every}")
     state = constraint_begin(d)
     out: list[int] = []
-    for step in range(max_steps):
+    for _ in range(max_steps):
         allowed = sorted(allowed_tokens(state))
         if state.terminable and not allowed:
             return tuple(out)
@@ -109,7 +106,7 @@ def constrained_decode(
         best = allowed[scores.index(top)]  # the first of equal maxima
         out.append(best)
         state = constraint_advance(state, best)
-        if retokenize_with is not None and (step + 1) % retokenize_every == 0:
+        if retokenize_with is not None:
             canonical = tuple(retokenize_with(_concat(d, out)))
             if canonical != tuple(out):
                 state = _replay(d, canonical)

@@ -221,6 +221,17 @@ def merge_stage(d: Dfa, pair: tuple[int, int]) -> Dfa:
     label but x, y and z, and holds x again when x != y. `d` is
     deterministic, so each key has one move per label and the result is a
     DFA; a key is final iff its state is.
+
+    When `d` is trim and has no arc on z, as in every stage of `promote_bpe`,
+    the result is trim: every key reaches a final one along a path of `d`
+    to a final state, any path for (q, 0) and, for (r, 2), one not starting
+    with y, which exists whenever the walk makes (r, 2). The path's first
+    label is not z. A label other than x is copied into (next, 0). An x,
+    held again in phase 2 since x != y there, moves on z into (next, 0)
+    when y follows on the path, and otherwise flushes into (r, 2), with the
+    rest of the path not starting with y. Each move consumes path, which
+    ends at a final key; the walk reaches every key. With arcs on z in `d`
+    the walk drops them, and dead keys can remain.
     """
     x, y = pair
     z = _merge_result(pair, d.table)

@@ -1,10 +1,11 @@
 """Pattern promotion: lift a character-level pattern automaton to one over
 subword tokens.
 
-Three pipelines share one loop of stages. Each stage builds the output side
-of the current machine under its transducer as a DFA, and minimizes;
-results are in canonical form. A stage whose transducer would be the
-identity on the current language does none of this and keeps the machine.
+Each stage builds the output side of the current machine under a
+transducer as a DFA, and minimizes; results are in canonical form. Agnostic
+and maxmatch promotion are one stage each, a composition; BPE promotion is
+a loop of merge stages, and a merge whose transducer would be the identity
+on the current language does none of this and keeps the machine.
 
 * agnostic: compose with the lexicon transducer, then one subset
   construction over the output side of the composition that also passes
@@ -27,7 +28,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import AlphabetError, ConfigError, EnumerationError
 from .fst import (
@@ -97,58 +98,29 @@ def _stage(label: str, started: float, walked: tuple[Dfa, bool]) -> tuple[Dfa, S
     return d, stats
 
 
-def _promote(
-    a: Dfa,
-    v: Vocabulary,
-    mode: str,
-    stages: Iterable[Callable[[Dfa], tuple[str, tuple[Dfa, bool] | None]]],
-    stage_hook: Callable[[str, Dfa], None] | None = None,
+def _composed(
+    a: Dfa, v: Vocabulary, mode: str, label: str, transducer: Callable[[], Fst]
 ) -> PromotionResult:
-    """Run each stage on the current machine, under its clock. A stage maps
-    the current machine to its label and to the output-side DFA of the
-    machine under the stage's transducer, with the subset construction's
-    flag; or to None when that transducer would be the identity on the
-    machine's language. Such a stage keeps the machine and its sizes. The
-    first stage settles the pattern in canonical minimal form either way, as
-    every stage result is. An empty pattern, or a pipeline without stages,
-    gets one clean-up stage labelled "empty" or "identity" instead."""
+    """One stage: compose with `transducer()`, built inside the clock, walk
+    the output side and minimize; on an empty pattern, a stage "empty"."""
     current = _checked_pattern(a, v)
-    stats: list[StageStats] = []
+    started = time.perf_counter()
     if current.finals:
-        for stage in stages:
-            started = time.perf_counter()
-            label, walked = stage(current)
-            if walked is None and not stats:
-                walked = _output_subsets(current)  # settle the pattern all the same
-            if walked is None:
-                kept = stats[-1]
-                st = StageStats(label, kept.states, kept.transitions,
-                                time.perf_counter() - started, True)
-            else:
-                current, st = _stage(label, started, walked)
-            stats.append(st)
-            if stage_hook is not None:
-                stage_hook(label, current)
-    if not stats:
-        label = "identity" if current.finals else "empty"
-        current, st = _stage(label, time.perf_counter(), _output_subsets(current))
-        stats.append(st)
-    return PromotionResult(current, mode, tuple(stats))
+        current, st = _stage(label, started, _output_subsets(compose(current, transducer())))
+    else:
+        current, st = _stage("empty", started, _output_subsets(current))
+    return PromotionResult(current, mode, (st,))
 
 
 def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting every segmentation of every match."""
-    stage = lambda d: ("lexicon", _output_subsets(compose(d, build_lexicon_transducer(v))))
-    return _promote(a, v, "agnostic", [stage])
+    return _composed(a, v, "agnostic", "lexicon", lambda: build_lexicon_transducer(v))
 
 
 def promote_maxmatch(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting only longest-match segmentations."""
-    def stage(d: Dfa) -> tuple[str, tuple[Dfa, bool]]:
-        transducer = build_maxmatch_transducer(build_failure_trie(v))
-        return "maxmatch", _output_subsets(compose(d, transducer))
-
-    return _promote(a, v, "maxmatch", [stage])
+    transducer = lambda: build_maxmatch_transducer(build_failure_trie(v))
+    return _composed(a, v, "maxmatch", "maxmatch", transducer)
 
 
 def promote_bpe(
@@ -159,32 +131,50 @@ def promote_bpe(
 ) -> PromotionResult:
     """Token-level automaton accepting only byte-pair segmentations.
 
-    One stage per merge, in priority order. A merge acts only when its pair
-    occurs in the current machine: `merge_stage` then builds, in one walk,
-    the DFA that composing the merge gadget over the machine's symbols would
-    give, and the machine is re-minimized after it. The optional stage_hook
-    receives every intermediate result, one per merge.
+    One stage per merge, in priority order, timed from before its label is
+    built. A merge acts only when its pair occurs in the current machine:
+    some arc on the left operand enters a state with an arc on the right
+    one. Every machine a stage sees is trim, so the pair occurs exactly when
+    some accepted sequence contains it, which is when the merge changes the
+    language: it rewrites that sequence into one holding the merged token,
+    which no accepted sequence holds yet. `merge_stage` then builds, in one
+    walk, the DFA that composing the merge gadget would give, and the
+    machine is re-minimized. Any other stage keeps the machine and its
+    sizes, but the first one still settles the pattern in canonical minimal
+    form. Without merges or matches there is one stage, labelled "identity"
+    or "empty". The optional stage_hook receives every stage's result.
     """
+    current = _checked_pattern(a, t.vocab)
+    if not current.finals or not t.merges:
+        label = "identity" if current.finals else "empty"
+        current, st = _stage(label, time.perf_counter(), _output_subsets(current))
+        return PromotionResult(current, "bpe", (st,))
     table = t.vocab.table
-    checked: Dfa | None = None  # the machine of the last check
-    entered: dict[int, set[int]] | None = None  # its arc targets by label, once indexed
-
-    def stage(d: Dfa, n: int, x: int, y: int) -> tuple[str, tuple[Dfa, bool] | None]:
-        nonlocal checked, entered
+    stats: list[StageStats] = []
+    seen, entered = False, None  # a merge checked the machine; its arc targets by label
+    for n, (x, y) in enumerate(t.merges, 1):
+        started = time.perf_counter()
         label = f"merge {n} ({table.token(x)}+{table.token(y)})"
-        if d is not checked:  # most machines a merge makes are checked once: one scan
-            checked, entered = d, None
-            after_x = {dst for arcs in d.arcs.values() for inp, _, dst in arcs if inp == x}
+        if not seen:  # most machines a merge makes are checked once: one scan
+            seen = True
+            after_x = {dst for arcs in current.arcs.values() for inp, _, dst in arcs if inp == x}
         else:  # a merge kept the machine: index it once for the checks to come
-            if entered is None:
-                entered = _targets_by_label(d)
+            entered = entered or _targets_by_label(current)
             after_x = entered.get(x, ())
-        if not _pair_occurs(d, after_x, y):
-            return label, None  # the merge would map every accepted sequence to itself
-        return label, (merge_stage(d, (x, y)), True)
-
-    stages = (lambda d, n=n, xy=xy: stage(d, n, *xy) for n, xy in enumerate(t.merges, 1))
-    return _promote(a, t.vocab, "bpe", stages, stage_hook)
+        if any(inp == y for q in after_x for inp, _, _ in current.arcs.get(q, ())):
+            current, st = _stage(label, started, (merge_stage(current, (x, y)), True))
+            seen, entered = False, None
+        elif not stats:
+            current, st = _stage(label, started, _output_subsets(current))
+            seen, entered = False, None
+        else:
+            kept = stats[-1]
+            st = StageStats(label, kept.states, kept.transitions,
+                            time.perf_counter() - started, True)
+        stats.append(st)
+        if stage_hook is not None:
+            stage_hook(label, current)
+    return PromotionResult(current, "bpe", tuple(stats))
 
 
 def _targets_by_label(d: Dfa) -> dict[int, set[int]]:
@@ -193,15 +183,6 @@ def _targets_by_label(d: Dfa) -> dict[int, set[int]]:
         for inp, _, dst in arcs:
             entered[inp].add(dst)
     return entered
-
-
-def _pair_occurs(d: Dfa, after_x: Iterable[int], y: int) -> bool:
-    """Whether a state in after_x, the targets of the arcs on x, has an arc
-    on y. Every machine a stage sees is trim, so this holds exactly when some
-    accepted sequence contains x y, that is when the merge (x, y) changes the
-    language: it rewrites that sequence into one holding the token xy, which
-    no accepted sequence holds yet."""
-    return any(inp == y for q in after_x for inp, _, _ in d.arcs.get(q, ()))
 
 
 def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:

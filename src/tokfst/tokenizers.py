@@ -106,11 +106,17 @@ class BpeTokenizer:
     merges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "merges", tuple(tuple(m) for m in self.merges))
+        try:
+            object.__setattr__(self, "merges", tuple(tuple(m) for m in self.merges))
+        except TypeError:
+            raise ConfigError("merges must be a sequence of token id pairs") from None
         table = self.vocab.table
         available = set(table.char_ids())
         produced: set[int] = set()
-        for n, (x, y) in enumerate(self.merges):
+        for n, merge in enumerate(self.merges):
+            if len(merge) != 2 or any(type(i) is not int for i in merge):
+                raise ConfigError(f"merge {n} is not a pair of token ids: {merge!r}")
+            x, y = merge
             for operand in (x, y):
                 token = table.token(operand)  # raises on unknown ids
                 if operand not in available:
@@ -137,7 +143,11 @@ class BpeTokenizer:
         cls, vocab: Vocabulary, pairs: Iterable[tuple[str, str]]
     ) -> "BpeTokenizer":
         table = vocab.table
-        return cls(vocab, tuple((table.id(x), table.id(y)) for x, y in pairs))
+        try:
+            merges = tuple(table.ids(pair) for pair in pairs)
+        except TypeError:
+            raise ConfigError("merges must be a sequence of token pairs") from None
+        return cls(vocab, merges)
 
     def merge_tokens(self) -> tuple[tuple[str, str], ...]:
         table = self.vocab.table

@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import sys
 from pathlib import Path
 
 import tokfst
@@ -32,3 +33,22 @@ def test_public_surface_matches_all():
     public = {name for name in imported if not name.startswith("_")}
     assert public
     assert sorted(public - set(tokfst.__all__)) == []
+
+
+def test_library_imports_only_the_standard_library():
+    # tokfst has no runtime dependencies: every import is relative, from
+    # __future__, or of a standard-library module
+    paths = sorted(Path(tokfst.__file__).parent.rglob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []

@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tokfst import (
+    BpeTokenizer,
+    ConfigError,
     Dfa,
     Fst,
     SymbolTable,
@@ -127,6 +129,34 @@ def test_load_merges_raises_only_typed_errors(tmp_path, content):
         load_merges(path, VOCAB)
     except TokfstError:
         pass
+
+
+# merge lists, as id pairs or as token pairs: pairs around the vocabulary's
+# entries, entries of another length or type, or no sequence at all
+merge_entries = st.tuples(small, small) | st.lists(small, max_size=3) | st.lists(scalars, max_size=3)
+
+
+@FUZZ
+@given(st.lists(merge_entries | scalars, max_size=4) | scalars,
+       st.lists(st.lists(st.text(alphabet="ab", max_size=2) | st.lists(st.just("a"), max_size=1),
+                         max_size=3) | scalars, max_size=3) | scalars)
+def test_merge_lists_raise_only_typed_errors(merges, pairs):
+    for build in (lambda: BpeTokenizer(VOCAB, merges),
+                  lambda: BpeTokenizer.from_token_pairs(VOCAB, pairs)):
+        try:
+            tok = build()
+        except TokfstError:
+            continue
+        assert tok.merges == ((2, 3),)  # the one merge that makes "ab"
+
+
+def test_malformed_merges_are_config_errors():
+    for merges in (((2, 3, 4),), ((2,),), (("a", "b"),), ((2.0, 3),), ((True, 3),), (5,), 7):
+        with pytest.raises(ConfigError):
+            BpeTokenizer(VOCAB, merges)
+    for pairs in ([("a",)], [("a", "b", "ab")], [("a", ["b"])], [5], 5):
+        with pytest.raises(ConfigError):
+            BpeTokenizer.from_token_pairs(VOCAB, pairs)
 
 
 files = st.sampled_from(["vocab.txt", "merges.txt", "m.json", "missing.txt", "."])
