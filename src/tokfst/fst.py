@@ -380,7 +380,7 @@ def minimize(d: Dfa) -> Dfa:
 
     Trims first, so dead states never influence the partition; the transition
     function may be partial (a missing arc is simply a reject). The result is
-    trim.
+    trim; when no two states merge, it is the trim machine itself.
     """
     if not isinstance(d, Dfa):
         d = Dfa.from_fst(d)
@@ -399,11 +399,14 @@ def minimize(d: Dfa) -> Dfa:
             if sig not in signatures:
                 signatures[sig] = len(signatures)
             new_block[q] = signatures[sig]
+        # blocks are numbered in the order of their first state, so a block
+        # id is already the state's new number: the identity once every
+        # state has a block of its own, a partition no round can refine
+        if len(signatures) == t.num_states:
+            return t
         if new_block == block:
             break
         block = new_block
-    # blocks are numbered in the order of their first state, so a block id
-    # is already the state's new number
     return _renumber(t, dict(enumerate(block)), len(signatures))
 
 

@@ -60,17 +60,23 @@ def constraint_advance(s: ConstraintState, token: int) -> ConstraintState:
 class StubLM:
     """Deterministic stand-in scorer: a keyed hash of (seed, context,
     candidate) mapped to [0, 1). Not a language model, just a reproducible
-    source of preferences for exercising the mask API."""
+    source of preferences for exercising the mask API. The hash of the last
+    context scored is kept, so scoring every candidate after one context
+    hashes the context once."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
+        self._key: tuple | None = None  # (seed, context) last hashed; a copy of the context
+        self._prefix = None  # its hash, up to the candidate
 
     def score(self, context: Sequence[int], candidate: int) -> float:
-        h = blake2b(digest_size=8)
-        h.update(struct.pack(">q", self.seed))
-        for token in context:
-            h.update(struct.pack(">q", token))
-        h.update(b"/")
+        key = (self.seed, tuple(context))
+        if key != self._key:
+            h = blake2b(digest_size=8)
+            h.update(struct.pack(f">{1 + len(key[1])}q", self.seed, *key[1]))
+            h.update(b"/")
+            self._key, self._prefix = key, h
+        h = self._prefix.copy()
         h.update(struct.pack(">q", candidate))
         return int.from_bytes(h.digest(), "big") / 2.0**64
 

@@ -161,7 +161,7 @@ class MergeGadget:
     token through the flush alone, so merge stages stay deterministic.
 
     `promote_bpe_chained` composes these gadgets; `promote_bpe` applies each
-    merge through `merge_stage`, which builds the same result directly.
+    merge through `merge_stage`, which builds the minimized result directly.
     """
 
     fst: Fst
@@ -222,6 +222,12 @@ def merge_stage(d: Dfa, pair: tuple[int, int]) -> Dfa:
     deterministic, so each key has one move per label and the result is a
     DFA; a key is final iff its state is.
 
+    (r, 2) therefore moves as a phase-0 key of a state with r's finality and
+    r's arcs minus its arc on y would. The walk names each flush target by
+    that: (q, 0) if `d` has such a state q, and otherwise the first flush
+    target made with the same finality and arcs minus y. The index of `d`'s
+    states by (finality, arcs) is built at the first flush.
+
     When `d` is trim and has no arc on z, as in every stage of `promote_bpe`,
     the result is trim: every key reaches a final one along a path of `d`
     to a final state, any path for (q, 0) and, for (r, 2), one not starting
@@ -232,9 +238,35 @@ def merge_stage(d: Dfa, pair: tuple[int, int]) -> Dfa:
     rest of the path not starting with y. Each move consumes path, which
     ends at a final key; the walk reaches every key. With arcs on z in `d`
     the walk drops them, and dead keys can remain.
+
+    When `d` is also minimal, so is the result. Let M be the merge's
+    rewrite of a sequence; without z in `d` it is injective, as replacing
+    each z by x y undoes it. (q, 0) accepts M(L_q), L_q being q's language
+    in `d`, and (r, 2) accepts M of the sequences of L_r that do not start
+    with y. So two keys are equivalent iff these languages of `d` are equal.
+    In a minimal trim `d`, equal languages belong to one state and no arc
+    leads to an empty one. So (r, 2) is equivalent to (q, 0) iff q has r's
+    finality and r's arcs minus y, and two flush targets are equivalent iff
+    they agree in finality and arcs minus y: exactly the identifications
+    the walk makes. No two of its keys are equivalent, and it numbers them
+    breadth first in label order, as `minimize` numbers the composition's
+    blocks: by their first state in that order.
     """
     x, y = pair
     z = _merge_result(pair, d.table)
+    finals = d.finals
+    names: dict[tuple, tuple[int, int]] = {}  # (final, arcs) -> key, d's states first
+    flushes: dict[int, tuple[int, int]] = {}  # r -> the key made for (r, 2)
+
+    def flush_key(r: int) -> tuple[int, int]:
+        key = flushes.get(r)
+        if key is None:
+            if not names:  # the first flush: index d's states
+                for q in range(d.num_states):
+                    names.setdefault((q in finals, d.arcs.get(q, ())), (q, 0))
+            arcs = tuple(arc for arc in d.arcs.get(r, ()) if arc[0] != y)
+            key = flushes[r] = names.setdefault((r in finals, arcs), (r, 2))
+        return key
 
     def expand(key: tuple[int, int]) -> tuple[bool, list[tuple[int, int, tuple[int, int]]]]:
         q, phase = key
@@ -243,11 +275,11 @@ def merge_stage(d: Dfa, pair: tuple[int, int]) -> Dfa:
             if inp == x and (phase == 0 or x != y):
                 r_arcs = d.arcs.get(dst, ())
                 moves.extend((z, z, (s, 0)) for inp2, _, s in r_arcs if inp2 == y)
-                if dst in d.finals or any(inp2 != y and inp2 != z for inp2, _, _ in r_arcs):
-                    moves.append((x, x, (dst, 2)))
+                if dst in finals or any(inp2 != y and inp2 != z for inp2, _, _ in r_arcs):
+                    moves.append((x, x, flush_key(dst)))
             elif inp != z and (phase == 0 or inp != y):
                 moves.append((inp, inp, (dst, 0)))
         moves.sort()  # labels are distinct: number the targets in label order
-        return q in d.finals, moves
+        return q in finals, moves
 
     return _discover(Dfa, d.table, (d.start, 0), expand)

@@ -2,10 +2,11 @@
 subword tokens.
 
 Each stage builds the output side of the current machine under a
-transducer as a DFA, and minimizes; results are in canonical form. Agnostic
-and maxmatch promotion are one stage each, a composition; BPE promotion is
-a loop of merge stages, and a merge whose transducer would be the identity
-on the current language does none of this and keeps the machine.
+transducer as a minimal DFA; results are in canonical form. Agnostic and
+maxmatch promotion are one stage each, a composition then `minimize`; BPE
+promotion is a loop of merge stages, and a merge whose transducer would be
+the identity on the current language does none of this and keeps the
+machine.
 
 * agnostic: compose with the lexicon transducer, then one subset
   construction over the output side of the composition that also passes
@@ -13,11 +14,11 @@ on the current language does none of this and keeps the machine.
   string.
 * maxmatch: the same with the greedy longest-match transducer; accepts only
   the longest-match segmentation of each matching string.
-* bpe: one stage per merge, in priority order, re-minimizing between
-  stages; a merge acts only when its pair occurs in the current machine,
-  through `merge_stage`, one walk that builds what composing the merge
-  gadget would give. Accepts only the byte-pair segmentation of each
-  matching string.
+* bpe: the pattern is minimized once, then one stage per merge, in
+  priority order; a merge acts only when its pair occurs in the current
+  machine, through `merge_stage`, one walk that builds the minimal DFA that
+  composing the merge gadget and minimizing would give. Accepts only the
+  byte-pair segmentation of each matching string.
 
 Lexicon and merge stages are deterministic by construction, so their subset
 construction never merges targets; maxmatch stages sometimes need it.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import AlphabetError, ConfigError, EnumerationError
 from .fst import (
@@ -53,8 +54,7 @@ from .lexicon import (
 from .tokenizers import BpeTokenizer, Vocabulary, iter_segmentations, maxmatch_tokenize
 
 
-@dataclass(frozen=True)
-class StageStats:
+class StageStats(NamedTuple):
     label: str
     states: int  # after minimization
     transitions: int
@@ -132,17 +132,18 @@ def promote_bpe(
     """Token-level automaton accepting only byte-pair segmentations.
 
     One stage per merge, in priority order, timed from before its label is
-    built. A merge acts only when its pair occurs in the current machine:
-    some arc on the left operand enters a state with an arc on the right
-    one. Every machine a stage sees is trim, so the pair occurs exactly when
-    some accepted sequence contains it, which is when the merge changes the
-    language: it rewrites that sequence into one holding the merged token,
-    which no accepted sequence holds yet. `merge_stage` then builds, in one
-    walk, the DFA that composing the merge gadget would give, and the
-    machine is re-minimized. Any other stage keeps the machine and its
-    sizes, but the first one still settles the pattern in canonical minimal
-    form. Without merges or matches there is one stage, labelled "identity"
-    or "empty". The optional stage_hook receives every stage's result.
+    built. The pattern is first settled in canonical minimal form, inside
+    the first stage's clock. A merge acts only when its pair occurs in the
+    current machine: some arc on the left operand enters a state with an
+    arc on the right one. Every machine a stage sees is trim, so the pair
+    occurs exactly when some accepted sequence contains it, which is when
+    the merge changes the language: it rewrites that sequence into one
+    holding the merged token, which no accepted sequence holds yet.
+    `merge_stage` then builds, in one walk, the minimal DFA that composing
+    the merge gadget and minimizing would give; no stage minimizes. Any
+    other stage keeps the machine and its sizes. Without merges or matches
+    there is one stage, labelled "identity" or "empty". The optional
+    stage_hook receives every stage's result.
     """
     current = _checked_pattern(a, t.vocab)
     if not current.finals or not t.merges:
@@ -151,27 +152,26 @@ def promote_bpe(
         return PromotionResult(current, "bpe", (st,))
     table = t.vocab.table
     stats: list[StageStats] = []
+    started = time.perf_counter()  # the first stage's clock covers the settle
+    current = minimize(_output_subsets(current)[0])
+    arcs = sum(map(len, current.arcs.values()))
     seen, entered = False, None  # a merge checked the machine; its arc targets by label
     for n, (x, y) in enumerate(t.merges, 1):
-        started = time.perf_counter()
+        if n > 1:
+            started = time.perf_counter()
         label = f"merge {n} ({table.token(x)}+{table.token(y)})"
         if not seen:  # most machines a merge makes are checked once: one scan
             seen = True
-            after_x = {dst for arcs in current.arcs.values() for inp, _, dst in arcs if inp == x}
+            after_x = {dst for q_arcs in current.arcs.values() for inp, _, dst in q_arcs if inp == x}
         else:  # a merge kept the machine: index it once for the checks to come
             entered = entered or _targets_by_label(current)
             after_x = entered.get(x, ())
         if any(inp == y for q in after_x for inp, _, _ in current.arcs.get(q, ())):
-            current, st = _stage(label, started, (merge_stage(current, (x, y)), True))
+            current = merge_stage(current, (x, y))
+            arcs = sum(map(len, current.arcs.values()))
             seen, entered = False, None
-        elif not stats:
-            current, st = _stage(label, started, _output_subsets(current))
-            seen, entered = False, None
-        else:
-            kept = stats[-1]
-            st = StageStats(label, kept.states, kept.transitions,
-                            time.perf_counter() - started, True)
-        stats.append(st)
+        stats.append(StageStats(label, current.num_states, arcs,
+                                time.perf_counter() - started, True))
         if stage_hook is not None:
             stage_hook(label, current)
     return PromotionResult(current, "bpe", tuple(stats))

@@ -1,6 +1,8 @@
 """Token masking and constrained decoding on promoted automata."""
 
 import random
+import struct
+from hashlib import blake2b
 
 import pytest
 
@@ -141,6 +143,36 @@ def test_stub_lm_is_a_pure_function_of_seed_context_candidate():
     assert 0.0 <= lm.score((), END_OF_SEQUENCE) < 1.0
     assert lm.score(ctx, 6) != StubLM(4).score(ctx, 6)
     assert lm.score(ctx, 6) != lm.score(ctx, 7)
+
+
+def _digest_score(seed, context, candidate):
+    h = blake2b(digest_size=8)
+    for value in (seed, *context):
+        h.update(struct.pack(">q", value))
+    h.update(b"/")
+    h.update(struct.pack(">q", candidate))
+    return int.from_bytes(h.digest(), "big") / 2.0**64
+
+
+def test_stub_lm_scores_match_the_digest_of_the_whole_context():
+    # the scorer keeps the last context's hash; a list grown or changed in
+    # place, as constrained_decode passes it, or a new seed must not reuse it
+    rng = random.Random(44)
+    lm = StubLM(0)
+    context: list[int] = []
+    for _ in range(2000):
+        move = rng.random()
+        if move < 0.05:
+            lm.seed = rng.randrange(-2**40, 2**40)
+        elif move < 0.4:
+            context.append(rng.randrange(-1, 10**6))
+        elif move < 0.5 and context:
+            context[rng.randrange(len(context))] = rng.randrange(10**6)
+        elif move < 0.6:
+            del context[rng.randrange(len(context) + 1):]
+        arg = tuple(context) if rng.random() < 0.3 else context
+        candidate = rng.choice([END_OF_SEQUENCE, rng.randrange(10**6)])
+        assert lm.score(arg, candidate) == _digest_score(lm.seed, context, candidate)
 
 
 # ---------------------------------------------------------------------------

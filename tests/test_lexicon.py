@@ -20,6 +20,7 @@ from tokfst import (
     compose,
     iter_segmentations,
     maxmatch_tokenize,
+    minimize,
     trim,
 )
 from tokfst.fst import _output_subsets
@@ -218,12 +219,12 @@ def test_gadget_requires_the_result_token():
         build_merge_gadget((table.id("a"), table.id("b")), frozenset(table.token_ids()), table)
 
 
-def test_merge_stage_matches_the_gadget_composition():
+def test_merge_stage_is_the_minimized_gadget_composition():
     table = SymbolTable(["a", "b", "c", "aa", "ab", "bc", "ca", "aab", "abc", "bca", "aaab"])
     ids = sorted(table.token_ids())
     pairs = [(x, y) for x in ids for y in ids if table.token(x) + table.token(y) in table]
     rng = random.Random(65)
-    cases = self_pairs = z_present = final_flush = open_flush = 0
+    cases = self_pairs = z_present = final_flush = open_flush = identified = 0
     while cases < 2000:
         x, y = pair = rng.choice(pairs)
         z = table.id(table.token(x) + table.token(y))
@@ -238,15 +239,18 @@ def test_merge_stage_matches_the_gadget_composition():
         composed, deterministic = _output_subsets(
             compose(d, build_merge_gadget(pair, d.input_alphabet, table).fst))
         assert deterministic
-        # the same machine state for state, not only after minimization
         m = merge_stage(d, pair)
-        assert m == composed, (d.arcs, d.finals, pair)
+        assert minimize(m) == minimize(composed), (d.arcs, d.finals, pair)
         if z not in d.input_alphabet:  # as in promote_bpe: the walk leaves no dead key
             assert trim(m) is m, (d.arcs, d.finals, pair)
+            # and on a minimal machine it is minimal, numbered as minimize numbers
+            minimal = minimize(d)
+            assert merge_stage(minimal, pair) == minimize(composed), (minimal.arcs, pair)
         cases += 1
+        identified += m.num_states < composed.num_states  # a flush target was renamed
         self_pairs += x == y
         z_present += z in d.input_alphabet
         held = {dst for arcs in d.arcs.values() for inp, _, dst in arcs if inp == x}
         final_flush += not held.isdisjoint(d.finals)
         open_flush += any(inp not in (y, z) for r in held - d.finals for inp, _, _ in d.arcs.get(r, ()))
-    assert min(self_pairs, z_present, final_flush, open_flush) > 100
+    assert min(self_pairs, z_present, final_flush, open_flush, identified) > 100

@@ -271,9 +271,11 @@ def test_gadgets_run_over_the_symbols_the_machine_emits(monkeypatch):
 
 def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch):
     walk, compose = tokfst.promote.merge_stage, tokfst.promote.compose
-    calls, composed = [], []
+    minimize = tokfst.promote.minimize
+    calls, composed, minimized = [], [], []
     monkeypatch.setattr(tokfst.promote, "merge_stage", lambda *ops: calls.append(1) or walk(*ops))
     monkeypatch.setattr(tokfst.promote, "compose", lambda *ops: composed.append(1) or compose(*ops))
+    monkeypatch.setattr(tokfst.promote, "minimize", lambda d: minimized.append(1) or minimize(d))
     rng = random.Random(2718)
     cases = [(compile_pattern(p, t.vocab.table), t)
              for p, t in [("bcababcc", SECT52), ("(ab|c)*b?", SECT52),
@@ -284,7 +286,7 @@ def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch)
         a = compile_pattern(random_pattern_text(rng, chars, 3), tok.vocab.table)
         if a.finals:
             cases.append((a, tok))
-    skipped = live = 0
+    skipped = live = most_live = 0
     for a, tok in cases:
         machines, walked = [a], []  # per stage: the hooked machine, merge_stage calls
 
@@ -294,9 +296,11 @@ def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch)
             calls.clear()
 
         calls.clear()
-        composed.clear()  # the chained check below composes
+        composed.clear()  # the chained check below composes and minimizes
+        minimized.clear()
         r = promote_bpe(a, tok, stage_hook=hook)
         assert not composed
+        assert len(minimized) <= 1  # the settle only, however many merges are live
         assert len(r.stats) == len(walked) == len(tok.merges)
         for before, after, n, st in zip(machines, machines[1:], walked, r.stats):
             assert n == int(after != before)
@@ -306,7 +310,8 @@ def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch)
             live += n
             skipped += 1 - n
         assert r.dfa == canonical_form(promote_bpe_chained(a, tok))
-    assert skipped > 20 and live > 20
+        most_live = max(most_live, sum(walked))
+    assert skipped > 20 and live > 20 and most_live > 3
 
 
 def test_skipped_first_stages_still_settle_a_caller_built_pattern():
