@@ -62,7 +62,8 @@ class StubLM:
     candidate) mapped to [0, 1). Not a language model, just a reproducible
     source of preferences for exercising the mask API. The hash of the last
     context scored is kept, so scoring every candidate after one context
-    hashes the context once."""
+    hashes the context once; a score still depends only on (seed, context,
+    candidate)."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed

@@ -141,7 +141,8 @@ def promote_bpe(
     holding the merged token, which no accepted sequence holds yet.
     `merge_stage` then builds, in one walk, the minimal DFA that composing
     the merge gadget and minimizing would give; no stage minimizes. Any
-    other stage keeps the machine and its sizes. Without merges or matches
+    other stage keeps the machine and its sizes. Every stage result is marked
+    trim, so no later `trim` walks it. Without merges or matches
     there is one stage, labelled "identity" or "empty". The optional
     stage_hook receives every stage's result.
     """
@@ -168,6 +169,10 @@ def promote_bpe(
             after_x = entered.get(x, ())
         if any(inp == y for q in after_x for inp, _, _ in current.arcs.get(q, ())):
             current = merge_stage(current, (x, y))
+            # trim, as current was trim without an arc on x+y (merge_stage):
+            # mark it, so no later trim or constraint_begin walks it
+            current = Dfa._trusted(table, current.num_states, current.start,
+                                   current.finals, current.arcs, trim=True)
             arcs = sum(map(len, current.arcs.values()))
             seen, entered = False, None
         stats.append(StageStats(label, current.num_states, arcs,

@@ -218,28 +218,6 @@ def test_minimize_is_idempotent_and_canonical():
         assert minimize(small) is small
 
 
-def test_minimize_returns_a_trim_machine_with_nothing_to_merge_as_it_is():
-    rng = random.Random(23)
-    kept = merged = 0
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        arcs = {(rng.randrange(n), sym): rng.randrange(n) for sym in rng.choices([A, B], k=2 * n)}
-        finals = frozenset(q for q in range(n) if rng.random() < 0.75)
-        d = Dfa(AB, n, 0, finals, [Transition(q, s, s, dst) for (q, s), dst in arcs.items()])
-        t = trim(d)
-        if not t.finals:
-            continue
-        small = minimize(t)
-        assert minimize(d) == small
-        assert enumerate_language(small, 6) == enumerate_language(d, 6)
-        if small.num_states == t.num_states:
-            assert small is t
-            kept += 1
-        else:
-            merged += 1
-    assert kept > 50 and merged > 10
-
-
 def test_discovery_numbering_is_canonical():
     # determinize numbers subsets breadth first over sorted labels, the same
     # rule canonical_form applies, so its result is already canonical

@@ -301,6 +301,9 @@ def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch)
         r = promote_bpe(a, tok, stage_hook=hook)
         assert not composed
         assert len(minimized) <= 1  # the settle only, however many merges are live
+        with monkeypatch.context() as no_walk:  # every stage result is known trim
+            no_walk.setattr(tokfst.fst, "_reach", lambda *_: pytest.fail("trim walked"))
+            assert all(tokfst.fst.trim(d) is d for d in machines[1:])
         assert len(r.stats) == len(walked) == len(tok.merges)
         for before, after, n, st in zip(machines, machines[1:], walked, r.stats):
             assert n == int(after != before)
