@@ -61,7 +61,6 @@ from .promote import (
     promote_bpe,
     promote_bpe_chained,
     promote_maxmatch,
-    promotion_stats,
 )
 from .symbols import EPSILON, FAILURE, SymbolTable
 from .tokenizers import (
@@ -134,7 +133,6 @@ __all__ = [
     "promote_bpe",
     "promote_bpe_chained",
     "promote_maxmatch",
-    "promotion_stats",
     "save_automaton",
     "trim",
 ]

@@ -88,15 +88,11 @@ class Fst:
                     raise ValueError(f"state {q} has two arcs on symbol {inp}")
         object.__setattr__(self, "arcs", arcs)
 
-    # True on a machine built with every state reachable from the start
-    _reachable = False
-
     @classmethod
-    def _trusted(cls, table, num_states, start, finals, arcs, *, trim=False, reachable=False):
+    def _trusted(cls, table, num_states, start, finals, arcs, *, trim=False):
         """Store the fields unchecked: for results derived from valid machines,
         with `finals` a frozenset and `arcs` already in the stored form.
-        `trim=True` records a machine built trim, so `_live` needs no walk;
-        `reachable=True` one built reachable, so `_live` walks backward only."""
+        `trim=True` records a machine built trim, so `_live` needs no walk."""
         m = object.__new__(cls)
         m.__dict__.update(
             table=table, num_states=num_states, start=start,
@@ -104,8 +100,6 @@ class Fst:
         )
         if trim:
             m.__dict__["_live"] = range(num_states) if finals else frozenset()
-        elif reachable:
-            m.__dict__["_reachable"] = True
         return m
 
     @cached_property
@@ -125,11 +119,8 @@ class Fst:
         for q, arcs in self.arcs.items():
             for _, _, dst in arcs:
                 bwd[dst].append(q)
-        live = _reach(self.finals, bwd)
-        if self._reachable:
-            return live
         fwd = {q: [dst for _, _, dst in arcs] for q, arcs in self.arcs.items()}
-        return _reach([self.start], fwd) & live
+        return _reach([self.start], fwd) & _reach(self.finals, bwd)
 
     @cached_property
     def input_alphabet(self) -> frozenset[int]:
@@ -192,7 +183,7 @@ def _discover(cls: type[Fst], table: SymbolTable, start, expand) -> Fst:
             numbered.append((inp, out, dst))
         if numbered:
             arcs[src] = tuple(sorted(numbered))
-    return cls._trusted(table, len(order), 0, frozenset(finals), arcs, reachable=True)
+    return cls._trusted(table, len(order), 0, frozenset(finals), arcs)
 
 
 def _renumber(a: Fst, renum: Mapping[int, int], num_states: int) -> Fst:
@@ -414,8 +405,11 @@ def canonical_form(d: Dfa) -> Dfa:
     """Renumber states in breadth-first discovery order over sorted labels.
 
     Minimal deterministic acceptors are isomorphic iff their canonical forms
-    are equal.
+    are equal. Any other `Fst` is converted first: ValueError if no DFA.
     """
+    if not isinstance(d, Dfa):
+        d = Dfa.from_fst(d)
+
     def expand(q: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
         return q in d.finals, d.arcs.get(q, ())
 

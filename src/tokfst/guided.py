@@ -66,6 +66,8 @@ class StubLM:
     candidate)."""
 
     def __init__(self, seed: int = 0):
+        if not isinstance(seed, int) or not -2**63 <= seed < 2**63:
+            raise ConfigError(f"seed must be an int in signed 64-bit range, got {seed!r}")
         self.seed = seed
         self._key: tuple | None = None  # (seed, context) last hashed; a copy of the context
         self._prefix = None  # its hash, up to the candidate

@@ -11,36 +11,27 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fst import EPSILON, FAILURE, Dfa, Fst, _discover
 from .symbols import RESERVED, SymbolTable
-from .tokenizers import Vocabulary
+from .tokenizers import Vocabulary, maxmatch_tokenize
 
 
-def _trie_prefixes(tokens: tuple[str, ...]) -> dict[str, dict[str, str]]:
-    """Children map for every prefix of every token, keyed by prefix."""
-    children: dict[str, dict[str, str]] = {"": {}}
-    for token in tokens:
-        for n, ch in enumerate(token):
-            prefix = token[:n]
-            longer = token[: n + 1]
-            children.setdefault(longer, {})
-            children[prefix][ch] = longer
-    return children
+def _trie(tokens: tuple[str, ...]) -> tuple[list[str], dict[str, dict[str, str]]]:
+    """The token trie: its nodes breadth first, and each node's children.
 
-
-def _bfs_order(children: dict[str, dict[str, str]]) -> list[str]:
-    order = [""]
-    queue = deque([""])
-    while queue:
-        node = queue.popleft()
-        for ch in sorted(children[node]):
-            order.append(children[node][ch])
-            queue.append(children[node][ch])
-    return order
+    A breadth-first walk that visits children in sorted order lists the
+    prefixes by (length, text), so a sort gives the order; the root "" is
+    kept even without tokens, and each other prefix p is child p[-1] of p[:-1].
+    """
+    prefixes = {""} | {t[:n] for t in tokens for n in range(1, len(t) + 1)}
+    order = sorted(prefixes, key=lambda p: (len(p), p))
+    children: dict[str, dict[str, str]] = {p: {} for p in order}
+    for p in order[1:]:
+        children[p[:-1]][p[-1]] = p
+    return order, children
 
 
 def build_lexicon_transducer(v: Vocabulary) -> Fst:
@@ -52,8 +43,7 @@ def build_lexicon_transducer(v: Vocabulary) -> Fst:
     machine relates every string to every segmentation of it.
     """
     table = v.table
-    children = _trie_prefixes(table.tokens)
-    order = _bfs_order(children)
+    order, children = _trie(table.tokens)
     ids = {prefix: n for n, prefix in enumerate(order)}
 
     arcs: list[tuple[int, int, int, int]] = []
@@ -80,42 +70,30 @@ class FailureTrie:
     """Token trie annotated with greedy-restart failure links.
 
     For every non-root node, popping the pops tokens and then reading the
-    fail node's prefix re-spells the node's own prefix; the pops are found by
-    repeatedly stripping the longest token prefix until what remains is a
-    trie prefix again.
+    fail node's prefix re-spells the node's own prefix; the pops are the
+    longest-match tokens of the prefix up to the first one that leaves a
+    trie prefix. The order is breadth first with children in sorted order,
+    which is (length, text) order.
     """
 
     table: SymbolTable
-    order: tuple[str, ...]  # breadth-first node prefixes, root first
+    order: tuple[str, ...]  # node prefixes by (length, text), root first
     nodes: dict[str, TrieNode]
 
 
 def build_failure_trie(v: Vocabulary) -> FailureTrie:
     table = v.table
-    children = _trie_prefixes(table.tokens)
-    order = _bfs_order(children)
-
-    def strip_tokens(prefix: str) -> tuple[tuple[int, ...], str]:
-        pops: list[int] = []
-        rest = prefix
-        while True:
-            for length in range(min(v.max_token_len, len(rest)), 0, -1):
-                if rest[:length] in table:
-                    pops.append(table.id(rest[:length]))
-                    rest = rest[length:]
-                    break
-            else:
-                raise AssertionError(f"no token prefixes {rest!r}")  # open vocabulary
+    order, children = _trie(table.tokens)
+    nodes = {"": TrieNode("", children[""], False, None, ())}
+    for prefix in order[1:]:
+        # the pops: its greedy tokens, cut after the first that leaves a
+        # trie prefix; the cut always happens, as "" is a trie prefix
+        pops, rest = maxmatch_tokenize(prefix, v), prefix
+        for n, token in enumerate(pops, 1):
+            rest = rest[len(table.token(token)):]
             if rest in children:
-                return tuple(pops), rest
-
-    nodes: dict[str, TrieNode] = {}
-    for prefix in order:
-        if prefix == "":
-            nodes[""] = TrieNode("", children[""], False, None, ())
-            continue
-        pops, rest = strip_tokens(prefix)
-        nodes[prefix] = TrieNode(prefix, children[prefix], prefix in table, rest, pops)
+                break
+        nodes[prefix] = TrieNode(prefix, children[prefix], prefix in table, rest, pops[:n])
     return FailureTrie(table, tuple(order), nodes)
 
 
@@ -165,7 +143,6 @@ class MergeGadget:
     """
 
     fst: Fst
-    pair: tuple[int, int]
     result: int
 
 
@@ -204,7 +181,7 @@ def build_merge_gadget(
 
     arcs = {q: tuple(sorted(s)) for q, s in enumerate((copying, holding, flushed)) if s}
     fst = Fst._trusted(table, 3, 0, frozenset([0, 2]), arcs)
-    return MergeGadget(fst, (a, b), ab)
+    return MergeGadget(fst, ab)
 
 
 def merge_stage(d: Dfa, pair: tuple[int, int]) -> Dfa:

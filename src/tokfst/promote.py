@@ -69,11 +69,6 @@ class PromotionResult:
     stats: tuple[StageStats, ...]
 
 
-def promotion_stats(r: PromotionResult) -> tuple[int, ...]:
-    """Minimized state count after each stage."""
-    return tuple(s.states for s in r.stats)
-
-
 def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     if a.table != v.table:
         raise AlphabetError("pattern automaton and vocabulary use different symbol tables")
@@ -88,28 +83,22 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     return trim(a)
 
 
-def _stage(label: str, started: float, walked: tuple[Dfa, bool]) -> tuple[Dfa, StageStats]:
-    """Finish a stage whose clock the caller started before building the
-    output-side DFA `walked` and its flag: minimize and record it."""
-    d, deterministic = walked
-    d = minimize(d)
-    arcs = sum(map(len, d.arcs.values()))
-    stats = StageStats(label, d.num_states, arcs, time.perf_counter() - started, deterministic)
-    return d, stats
-
-
 def _composed(
     a: Dfa, v: Vocabulary, mode: str, label: str, transducer: Callable[[], Fst]
 ) -> PromotionResult:
     """One stage: compose with `transducer()`, built inside the clock, walk
-    the output side and minimize; on an empty pattern, a stage "empty"."""
+    the output side, minimize and record; on an empty pattern, "empty"."""
     current = _checked_pattern(a, v)
     started = time.perf_counter()
     if current.finals:
-        current, st = _stage(label, started, _output_subsets(compose(current, transducer())))
+        walked, deterministic = _output_subsets(compose(current, transducer()))
     else:
-        current, st = _stage("empty", started, _output_subsets(current))
-    return PromotionResult(current, mode, (st,))
+        label = "empty"
+        walked, deterministic = _output_subsets(current)
+    d = minimize(walked)
+    arcs = sum(map(len, d.arcs.values()))
+    st = StageStats(label, d.num_states, arcs, time.perf_counter() - started, deterministic)
+    return PromotionResult(d, mode, (st,))
 
 
 def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
@@ -142,20 +131,21 @@ def promote_bpe(
     `merge_stage` then builds, in one walk, the minimal DFA that composing
     the merge gadget and minimizing would give; no stage minimizes. Any
     other stage keeps the machine and its sizes. Every stage result is marked
-    trim, so no later `trim` walks it. Without merges or matches
-    there is one stage, labelled "identity" or "empty". The optional
-    stage_hook receives every stage's result.
+    trim, so no later `trim` walks it. Without merges or matches the
+    settled pattern is the one stage, labelled "identity" or "empty", and
+    no hook is called; otherwise the optional stage_hook receives every
+    stage's result.
     """
     current = _checked_pattern(a, t.vocab)
-    if not current.finals or not t.merges:
-        label = "identity" if current.finals else "empty"
-        current, st = _stage(label, time.perf_counter(), _output_subsets(current))
-        return PromotionResult(current, "bpe", (st,))
-    table = t.vocab.table
-    stats: list[StageStats] = []
     started = time.perf_counter()  # the first stage's clock covers the settle
     current = minimize(_output_subsets(current)[0])
     arcs = sum(map(len, current.arcs.values()))
+    if not current.finals or not t.merges:
+        label = "identity" if current.finals else "empty"
+        st = StageStats(label, current.num_states, arcs, time.perf_counter() - started, True)
+        return PromotionResult(current, "bpe", (st,))
+    table = t.vocab.table
+    stats: list[StageStats] = []
     seen, entered = False, None  # a merge checked the machine; its arc targets by label
     for n, (x, y) in enumerate(t.merges, 1):
         if n > 1:

@@ -233,6 +233,15 @@ def test_discovery_numbering_is_canonical():
         assert canonical_form(d) == d
         m = canonical_form(minimize(d))
         assert canonical_form(m) == m
+    # any other machine is converted first: one that is no DFA is refused
+    table = SymbolTable(["a", "b", "ab"])
+    a, ab = table.ids(["a", "ab"])
+    assert canonical_form(Fst(table, 2, 0, {1}, [(0, a, a, 1)])) == Dfa(
+        table, 2, 0, {1}, [(0, a, a, 1)])
+    for rows in ([(0, a, ab, 1)], [(0, EPSILON, EPSILON, 1)], [(0, FAILURE, a, 1)],
+                 [(0, a, a, 1), (0, a, a, 0)]):
+        with pytest.raises(ValueError):
+            canonical_form(Fst(table, 2, 0, {1}, rows))
 
 
 def _old_is_deterministic(a: Fst) -> bool:

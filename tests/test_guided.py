@@ -145,6 +145,14 @@ def test_stub_lm_is_a_pure_function_of_seed_context_candidate():
     assert lm.score(ctx, 6) != lm.score(ctx, 7)
 
 
+def test_stub_lm_seed_must_be_a_signed_64_bit_int():
+    for seed in (2**63, -2**63 - 1, 2**70, 1.5, "x", None):
+        with pytest.raises(ConfigError):
+            StubLM(seed)
+    for seed in (2**63 - 1, -2**63):
+        assert 0.0 <= StubLM(seed).score([1], 2) < 1.0
+
+
 def _digest_score(seed, context, candidate):
     h = blake2b(digest_size=8)
     for value in (seed, *context):

@@ -85,6 +85,15 @@ def test_trie_nodes_for_the_race_vocabulary():
     assert node("rac") == (False, "c", ("r", "a"))
     assert node("race") == (True, "", ("race",))
     assert node("ce") == (True, "", ("ce",))
+    # breadth first with children in sorted order: (length, text) order
+    assert trie.order == ("", "a", "c", "e", "r", "ca", "ce", "ra", "car", "rac", "race")
+
+
+def test_empty_vocabulary_keeps_the_root():
+    empty = Vocabulary.from_tokens([])
+    assert build_failure_trie(empty).order == ("",)
+    lex = build_lexicon_transducer(empty)
+    assert (lex.num_states, lex.start, lex.finals, lex.arcs) == (1, 0, {0}, {})
 
 
 def test_trie_failure_invariant():

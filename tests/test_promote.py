@@ -34,7 +34,6 @@ from tokfst import (
     promote_bpe,
     promote_bpe_chained,
     promote_maxmatch,
-    promotion_stats,
 )
 from tokfst.promote import expected_promotion
 
@@ -146,7 +145,7 @@ def test_bpe_sect52_language_and_stage_counts():
     assert seqs(SECT52.vocab, enumerate_language(r.dfa, 8)) == {("bc", "ab", "ab", "cc")}
     assert [s.label for s in r.stats] == [
         "merge 1 (a+b)", "merge 2 (b+c)", "merge 3 (c+c)", "merge 4 (ab+c)"]
-    counts = promotion_stats(r)
+    counts = tuple(s.states for s in r.stats)
     assert counts == (7, 6, 5, 5)
     assert all(x >= y for x, y in zip(counts, counts[1:]))
     # stage |A'| stays within k * |A|^3 for k stages of an |A|-state pattern
@@ -325,7 +324,7 @@ def test_skipped_first_stages_still_settle_a_caller_built_pattern():
     redundant = Dfa(table, 4, 0, {2, 3}, [(0, b_, b_, 1), (1, a_, a_, 2), (0, a_, a_, 3)])
     r = promote_bpe(redundant, SECT52)
     assert r.dfa == canonical_form(promote_bpe_chained(redundant, SECT52))
-    assert promotion_stats(r) == (3, 3, 3, 3)
+    assert tuple(s.states for s in r.stats) == (3, 3, 3, 3)
     assert r.dfa.num_states == 3
 
 
