@@ -38,7 +38,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=("agnostic", "maxmatch", "bpe"))
     p.add_argument("--out", required=True)
     p.add_argument("--dot", help="also write a DOT rendering here")
-    p.add_argument("--stats", action="store_true", help="print per-stage statistics")
+    p.add_argument("--stats", action="store_true", help="print one line per promotion stage")
 
     p = sub.add_parser("tokenize", help="run a tokenizer on a string")
     p.add_argument("--mode", required=True, choices=("maxmatch", "bpe", "bpe-iterative"))

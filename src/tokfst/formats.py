@@ -111,10 +111,8 @@ def load_automaton(path: str | Path) -> Dfa:
     transitions = doc["transitions"]
     if not isinstance(transitions, list):
         raise ValidationError(f"{path}: transitions: expected a list")
-    for n, row in enumerate(transitions):
-        # `type(...) is int` also rejects JSON booleans
-        if not (type(row) is list and len(row) == 4 and type(row[0]) is int
-                and type(row[1]) is int and type(row[2]) is int and type(row[3]) is int):
+    for n, row in enumerate(transitions):  # `Dfa` checks that the fields are ints
+        if not (type(row) is list and len(row) == 4):
             raise ValidationError(f"{path}: transitions[{n}]: expected 4 integers")
 
     try:

@@ -53,11 +53,16 @@ class Fst:
         """Check a machine given by a caller and store its arcs; operations
         use `_trusted` instead, because valid operands yield valid results."""
         object.__setattr__(self, "finals", frozenset(self.finals))
+        # `type(...) is int` also rejects bools, as `load_automaton` does
+        if type(self.num_states) is not int or type(self.start) is not int:
+            raise ValueError("num_states and start must be integers")
         if self.num_states < 1:
             raise ValueError("a machine needs at least one state")
         if not 0 <= self.start < self.num_states:
             raise ValueError(f"start state {self.start} out of range")
         for q in self.finals:
+            if type(q) is not int:
+                raise ValueError(f"final state {q!r} is not an integer")
             if not 0 <= q < self.num_states:
                 raise ValueError(f"final state {q} out of range")
         end = RESERVED + len(self.table)
@@ -65,7 +70,9 @@ class Fst:
         by_src: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
         for row in self.arcs:
             src, inp, out, dst = row
-            if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
+            if not type(src) is type(inp) is type(out) is type(dst) is int:
+                problem = "has a field that is not an integer"
+            elif not (0 <= src < self.num_states and 0 <= dst < self.num_states):
                 problem = "references a missing state"
             elif inp != EPSILON and inp != FAILURE and not RESERVED <= inp < end:
                 problem = "has an unknown input symbol"

@@ -4,9 +4,7 @@ subword tokens.
 Each stage builds the output side of the current machine under a
 transducer as a minimal DFA; results are in canonical form. Agnostic and
 maxmatch promotion are one stage each, a composition then `minimize`; BPE
-promotion is a loop of merge stages, and a merge whose transducer would be
-the identity on the current language does none of this and keeps the
-machine.
+promotion is one stage per merge that changes the machine.
 
 * agnostic: compose with the lexicon transducer, then one subset
   construction over the output side of the composition that also passes
@@ -14,9 +12,9 @@ machine.
   string.
 * maxmatch: the same with the greedy longest-match transducer; accepts only
   the longest-match segmentation of each matching string.
-* bpe: the pattern is minimized once, then one stage per merge, in
-  priority order; a merge acts only when its pair occurs in the current
-  machine, through `merge_stage`, one walk that builds the minimal DFA that
+* bpe: the pattern is minimized once, then the merges run in priority
+  order, one stage per merge whose pair occurs in the current machine,
+  through `merge_stage`, one walk that builds the minimal DFA that
   composing the merge gadget and minimizing would give. Accepts only the
   byte-pair segmentation of each matching string.
 
@@ -86,10 +84,11 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
 def _composed(
     a: Dfa, v: Vocabulary, mode: str, label: str, transducer: Callable[[], Fst]
 ) -> PromotionResult:
-    """One stage: compose with `transducer()`, built inside the clock, walk
-    the output side, minimize and record; on an empty pattern, "empty"."""
-    current = _checked_pattern(a, v)
+    """One stage: check the pattern, compose with `transducer()`, walk the
+    output side, minimize and record, all inside the clock; on an empty
+    pattern, "empty"."""
     started = time.perf_counter()
+    current = _checked_pattern(a, v)
     if current.finals:
         walked, deterministic = _output_subsets(compose(current, transducer()))
     else:
@@ -120,55 +119,54 @@ def promote_bpe(
 ) -> PromotionResult:
     """Token-level automaton accepting only byte-pair segmentations.
 
-    One stage per merge, in priority order, timed from before its label is
-    built. The pattern is first settled in canonical minimal form, inside
-    the first stage's clock. A merge acts only when its pair occurs in the
-    current machine: some arc on the left operand enters a state with an
-    arc on the right one. Every machine a stage sees is trim, so the pair
-    occurs exactly when some accepted sequence contains it, which is when
-    the merge changes the language: it rewrites that sequence into one
-    holding the merged token, which no accepted sequence holds yet.
-    `merge_stage` then builds, in one walk, the minimal DFA that composing
-    the merge gadget and minimizing would give; no stage minimizes. Any
-    other stage keeps the machine and its sizes. Every stage result is marked
-    trim, so no later `trim` walks it. Without merges or matches the
-    settled pattern is the one stage, labelled "identity" or "empty", and
-    no hook is called; otherwise the optional stage_hook receives every
-    stage's result.
+    The pattern is settled in canonical minimal form, then the merges run
+    in priority order. A merge acts only when its pair occurs in the
+    current machine: some arc on x enters a state with an arc on y. Every
+    machine here is trim, so that is exactly when the merge changes the
+    language: it rewrites an accepted sequence holding the pair into one
+    holding x+y, which none holds yet. `merge_stage` then builds, in one
+    walk, the minimal DFA that composing the merge gadget and minimizing
+    would give; the result is marked trim, so no later `trim` walks it.
+
+    One stage, and one stage_hook call, per merge that acts, labelled
+    "merge n (x+y)" by its position in the list. When none acts, the one
+    stage is the settled pattern, "identity" or "empty", and no hook is
+    called. Each stage's clock starts where the previous one stopped (the
+    first before the pattern check) and the last one runs to the end, so
+    the stages cover the whole call but the hooks.
     """
-    current = _checked_pattern(a, t.vocab)
-    started = time.perf_counter()  # the first stage's clock covers the settle
-    current = minimize(_output_subsets(current)[0])
-    arcs = sum(map(len, current.arcs.values()))
-    if not current.finals or not t.merges:
-        label = "identity" if current.finals else "empty"
-        st = StageStats(label, current.num_states, arcs, time.perf_counter() - started, True)
-        return PromotionResult(current, "bpe", (st,))
+    started = time.perf_counter()
+    current = minimize(_output_subsets(_checked_pattern(a, t.vocab))[0])
     table = t.vocab.table
     stats: list[StageStats] = []
     seen, entered = False, None  # a merge checked the machine; its arc targets by label
     for n, (x, y) in enumerate(t.merges, 1):
-        if n > 1:
-            started = time.perf_counter()
-        label = f"merge {n} ({table.token(x)}+{table.token(y)})"
         if not seen:  # most machines a merge makes are checked once: one scan
             seen = True
             after_x = {dst for q_arcs in current.arcs.values() for inp, _, dst in q_arcs if inp == x}
         else:  # a merge kept the machine: index it once for the checks to come
             entered = entered or _targets_by_label(current)
             after_x = entered.get(x, ())
-        if any(inp == y for q in after_x for inp, _, _ in current.arcs.get(q, ())):
-            current = merge_stage(current, (x, y))
-            # trim, as current was trim without an arc on x+y (merge_stage):
-            # mark it, so no later trim or constraint_begin walks it
-            current = Dfa._trusted(table, current.num_states, current.start,
-                                   current.finals, current.arcs, trim=True)
-            arcs = sum(map(len, current.arcs.values()))
-            seen, entered = False, None
-        stats.append(StageStats(label, current.num_states, arcs,
-                                time.perf_counter() - started, True))
+        if not any(inp == y for q in after_x for inp, _, _ in current.arcs.get(q, ())):
+            continue
+        current = merge_stage(current, (x, y))
+        # trim, as current was trim without an arc on x+y (merge_stage)
+        current = Dfa._trusted(table, current.num_states, current.start,
+                               current.finals, current.arcs, trim=True)
+        seen, entered = False, None
+        label = f"merge {n} ({table.token(x)}+{table.token(y)})"
+        arcs = sum(map(len, current.arcs.values()))
+        stats.append(StageStats(label, current.num_states, arcs, time.perf_counter() - started, True))
         if stage_hook is not None:
             stage_hook(label, current)
+        started = time.perf_counter()
+    rest = time.perf_counter() - started
+    if stats:
+        stats[-1] = stats[-1]._replace(seconds=stats[-1].seconds + rest)
+    else:
+        label = "identity" if current.finals else "empty"
+        arcs = sum(map(len, current.arcs.values()))
+        stats.append(StageStats(label, current.num_states, arcs, rest, True))
     return PromotionResult(current, "bpe", tuple(stats))
 
 

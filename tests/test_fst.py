@@ -49,6 +49,17 @@ def test_rejects_unknown_symbols():
         Fst(AB, 1, 0, frozenset(), (Transition(0, 99, A, 0),))
 
 
+def test_rejects_ids_that_are_not_ints():
+    # floats and bools compare like ids, but operations index and format with them
+    arc = [(0, A, A, 1)]
+    for num_states, start, finals, arcs in [(2.5, 0, {1}, arc), (2, 0, {1}, [(0, 2.0, 2.0, 1)]),
+                                            (2, 0, {1.0}, [(0, A, A, 1.0)]), (True, 0, {0}, []),
+                                            (2, False, {1}, arc), (2, 0, {True}, [])]:
+        for cls in (Fst, Dfa):
+            with pytest.raises(ValueError):
+                cls(AB, num_states, start, finals, arcs)
+
+
 def test_failure_symbol_restrictions():
     # never on the output side
     with pytest.raises(ValueError):

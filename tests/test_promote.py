@@ -143,10 +143,10 @@ def test_bpe_sect52_language_and_stage_counts():
     a = compile_pattern("bcababcc", SECT52.vocab.table)
     r = promote_bpe(a, SECT52)
     assert seqs(SECT52.vocab, enumerate_language(r.dfa, 8)) == {("bc", "ab", "ab", "cc")}
-    assert [s.label for s in r.stats] == [
-        "merge 1 (a+b)", "merge 2 (b+c)", "merge 3 (c+c)", "merge 4 (ab+c)"]
+    # ab+c finds no pair to merge: the tokens ab and c never meet
+    assert [s.label for s in r.stats] == ["merge 1 (a+b)", "merge 2 (b+c)", "merge 3 (c+c)"]
     counts = tuple(s.states for s in r.stats)
-    assert counts == (7, 6, 5, 5)
+    assert counts == (7, 6, 5)
     assert all(x >= y for x, y in zip(counts, counts[1:]))
     # stage |A'| stays within k * |A|^3 for k stages of an |A|-state pattern
     assert all(c <= (k + 1) * a.num_states ** 3 for k, c in enumerate(counts))
@@ -211,14 +211,22 @@ def test_bpe_without_merges_is_the_character_identity():
 def test_bpe_stage_hook_sees_every_stage():
     a = compile_pattern("bcababcc", SECT52.vocab.table)
     seen = []
-    promote_bpe(a, SECT52, stage_hook=lambda label, dfa: seen.append((label, dfa.num_states)))
-    assert [label for label, _ in seen] == [
-        "merge 1 (a+b)", "merge 2 (b+c)", "merge 3 (c+c)", "merge 4 (ab+c)"]
-    assert [n for _, n in seen] == [7, 6, 5, 5]
+    r = promote_bpe(a, SECT52, stage_hook=lambda label, dfa: seen.append((label, dfa.num_states)))
+    assert seen == [(s.label, s.states) for s in r.stats]
+    assert seen == [("merge 1 (a+b)", 7), ("merge 2 (b+c)", 6), ("merge 3 (c+c)", 5)]
+    # no merge acts: the one stage is the settled pattern, and no hook runs
+    for pattern, label in [("cba", "identity"), ("a[^abc]", "empty")]:
+        a = compile_pattern(pattern, SECT52.vocab.table)
+        r = promote_bpe(a, SECT52, stage_hook=lambda *stage: seen.append(stage))
+        assert [s.label for s in r.stats] == [label]
+        assert (r.stats[0].states, r.stats[0].transitions) == (
+            r.dfa.num_states, sum(map(len, r.dfa.arcs.values())))
+    assert len(seen) == 3
 
 
 def test_stage_time_covers_the_build_and_compose(monkeypatch):
     compose, walk = tokfst.promote.compose, tokfst.promote.merge_stage
+    checked = tokfst.promote._checked_pattern
     calls = []
 
     def slow(build):
@@ -243,8 +251,18 @@ def test_stage_time_covers_the_build_and_compose(monkeypatch):
         assert all(s.seconds >= 0.05 for s in r.stats), r.mode
     r = promote_bpe(a, SECT52, stage_hook=hook)
     # a+b and c+c act on "abcc"; b+c and ab+c then find no pair to merge
-    assert stage_composed == [True, False, True, False]
-    assert all(s.seconds >= 0.05 for s, c in zip(r.stats, stage_composed) if c)
+    assert [s.label for s in r.stats] == ["merge 1 (a+b)", "merge 3 (c+c)"]
+    assert stage_composed == [True, True]
+    assert all(s.seconds >= 0.05 for s in r.stats)
+
+    # the stages cover every slowed call, the pattern check included
+    monkeypatch.setattr(tokfst.promote, "_checked_pattern", slow(checked))
+    cba = compile_pattern("cba", vocab.table)
+    for promote in (lambda: promote_agnostic(a, vocab), lambda: promote_maxmatch(a, vocab),
+                    lambda: promote_bpe(a, SECT52), lambda: promote_bpe(cba, SECT52)):
+        calls.clear()
+        r = promote()
+        assert calls and sum(s.seconds for s in r.stats) >= 0.05 * len(calls), r.mode
 
 
 def test_gadgets_run_over_the_symbols_the_machine_emits(monkeypatch):
@@ -287,9 +305,10 @@ def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch)
             cases.append((a, tok))
     skipped = live = most_live = 0
     for a, tok in cases:
-        machines, walked = [a], []  # per stage: the hooked machine, merge_stage calls
+        hooked, machines, walked = [], [a], []  # per stage: the hook's arguments, merge_stage calls
 
-        def hook(_, d):
+        def hook(label, d):
+            hooked.append((label, d))
             machines.append(d)
             walked.append(len(calls))
             calls.clear()
@@ -303,28 +322,34 @@ def test_compose_runs_exactly_on_the_stages_that_change_the_machine(monkeypatch)
         with monkeypatch.context() as no_walk:  # every stage result is known trim
             no_walk.setattr(tokfst.fst, "_reach", lambda *_: pytest.fail("trim walked"))
             assert all(tokfst.fst.trim(d) is d for d in machines[1:])
-        assert len(r.stats) == len(walked) == len(tok.merges)
-        for before, after, n, st in zip(machines, machines[1:], walked, r.stats):
-            assert n == int(after != before)
+        assert not calls  # no walk after the last hooked stage
+        assert walked == [1] * len(walked)  # one walk per stage, none for a skipped merge
+        assert [s.label for s in r.stats] == (
+            [label for label, _ in hooked] or ["identity" if r.dfa.finals else "empty"])
+        for before, after, st in zip(machines, machines[1:], r.stats):
+            assert after != before
             assert (st.states, st.transitions) == (
                 after.num_states, sum(map(len, after.arcs.values())))
-            assert n or st.deterministic_before_minimize
-            live += n
-            skipped += 1 - n
+            assert st.deterministic_before_minimize
+        if not walked:
+            assert (r.stats[0].states, r.stats[0].transitions) == (
+                r.dfa.num_states, sum(map(len, r.dfa.arcs.values())))
+        live += len(walked)
+        skipped += len(tok.merges) - len(walked)
         assert r.dfa == canonical_form(promote_bpe_chained(a, tok))
-        most_live = max(most_live, sum(walked))
+        most_live = max(most_live, len(walked))
     assert skipped > 20 and live > 20 and most_live > 3
 
 
-def test_skipped_first_stages_still_settle_a_caller_built_pattern():
-    # an unminimized pattern whose first merge cannot act: the stage result
+def test_a_promotion_without_acting_merges_still_settles_the_pattern():
+    # an unminimized pattern on which no merge acts: the one stage's result
     # is the canonical minimal machine, as a composed stage would give
     table = SECT52.vocab.table
     a_, b_ = table.id("a"), table.id("b")
     redundant = Dfa(table, 4, 0, {2, 3}, [(0, b_, b_, 1), (1, a_, a_, 2), (0, a_, a_, 3)])
     r = promote_bpe(redundant, SECT52)
     assert r.dfa == canonical_form(promote_bpe_chained(redundant, SECT52))
-    assert tuple(s.states for s in r.stats) == (3, 3, 3, 3)
+    assert [(s.label, s.states) for s in r.stats] == [("identity", 3)]
     assert r.dfa.num_states == 3
 
 

@@ -143,6 +143,39 @@ def test_bpe_output_is_a_fixed_point():
         assert not adjacent & set(tok.merges)
 
 
+def test_bpe_canonicality_is_bigram_local():
+    """A segmentation is the byte-pair tokenization of its text exactly when
+    each token, and each pair of adjacent tokens, is its own tokenization
+    (Vieira et al., "Language Models over Canonical Byte-Pair Encodings",
+    2025). Checked on every segmentation of short random texts, over random
+    merge lists; one- and two-character alphabets make self-pairs common."""
+    rng = random.Random(2025)
+    kept = by_pair = rejected = self_pairs = 0
+    for _ in range(400):
+        chars = "".join(sorted(rng.sample("abc", rng.randint(1, 3))))
+        tok = random_merge_tokenizer(rng, chars, rng.randint(1, 12))
+        table = tok.vocab.table
+        self_pairs += sum(x == y for x, y in tok.merges)
+        own: dict[tuple[int, ...], bool] = {}  # a token or a pair: is it its own tokenization
+
+        def local(*ids):
+            if ids not in own:
+                own[ids] = tok.tokenize("".join(map(table.token, ids))) == ids
+            return own[ids]
+
+        for _ in range(10):
+            text = "".join(rng.choice(chars) for _ in range(rng.randint(1, 10)))
+            best = tok.tokenize(text)
+            for seg in iter_segmentations(text, tok.vocab):
+                tokens_local = all(map(local, seg))
+                is_local = tokens_local and all(map(local, seg, seg[1:]))
+                assert (seg == best) == is_local, (tok.merge_tokens(), words(tok.vocab, seg))
+                kept += is_local
+                by_pair += tokens_local and not is_local  # only a pair rejects it
+                rejected += not is_local
+    assert kept == 4000 and by_pair > 5000 and rejected > 50_000 and self_pairs > 200
+
+
 def test_tokenizer_validation():
     vocab = Vocabulary.from_tokens(["a", "b", "ab"])
     # result missing from the vocabulary

@@ -24,9 +24,11 @@ from tokfst import (
     Vocabulary,
     compile_pattern,
     enumerate_language,
+    export_dot,
     load_automaton,
     load_merges,
     load_vocab,
+    minimize,
     trim,
 )
 from tokfst.cli import main
@@ -43,9 +45,11 @@ FUZZ = settings(
 small = st.integers(-2, 6)  # around every id and state bound of a 2-token table
 near = st.integers(0, 3)  # ids and states that are mostly valid for 4 states
 acceptor_row = st.tuples(near, st.integers(2, 3), near).map(lambda r: (r[0], r[1], r[1], r[2]))
-# (num_states, start, finals, rows): any small ints, or mostly valid ones
+# small ints, and floats and bools that compare like them but are not ints
+loose = small | st.booleans() | st.floats(-2, 6)
+# (num_states, start, finals, rows): any small numbers, or mostly valid ones
 machines = st.tuples(
-    small, small, st.lists(small, max_size=3), st.lists(st.tuples(small, small, small, small), max_size=8)
+    loose, loose, st.lists(loose, max_size=3), st.lists(st.tuples(loose, loose, loose, loose), max_size=8)
 ) | st.tuples(
     st.just(4),
     near,
@@ -88,10 +92,14 @@ def test_constructors_raise_only_value_errors(cls, machine):
         m = cls(TABLE, num_states, start, frozenset(finals), arcs)
     except ValueError:
         return
+    assert all(type(x) is int for x in (num_states, start, *finals, *(x for row in arcs for x in row)))
     assert m.transitions == tuple(sorted(Transition(*row) for row in arcs))
     assert cls(TABLE, num_states, start, frozenset(finals), arcs[::-1]) == m
     trim(m)
     enumerate_language(m, 3)
+    export_dot(m)
+    if cls is Dfa:
+        minimize(m)
 
 
 @FUZZ
