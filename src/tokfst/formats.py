@@ -30,11 +30,21 @@ def _read_text(path: str | Path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The file's lines, without their ends. Reading translates CR LF and a
+    lone CR to LF, and only LF ends a line: unlike `str.splitlines`, no
+    other line break (U+001C, U+0085, U+2028, ...) splits a token."""
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":  # the end of the last line, or an empty file
+        lines.pop()
+    return lines
+
+
 def load_vocab(path: str | Path) -> Vocabulary:
     """One token per line, in id order."""
     tokens: list[str] = []
     seen: set[str] = set()
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     for n, line in enumerate(lines, 1):
         if line == "":
             if n == len(lines):
@@ -52,7 +62,7 @@ def load_vocab(path: str | Path) -> Vocabulary:
 def load_merges(path: str | Path, v: Vocabulary) -> BpeTokenizer:
     """One merge per line as two space-separated tokens; `#` lines ignored."""
     pairs: list[tuple[str, str]] = []
-    for n, line in enumerate(_read_text(path).splitlines(), 1):
+    for n, line in enumerate(_read_lines(path), 1):
         if not line or line.startswith("#"):
             continue
         parts = line.split(" ")

@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .errors import ConfigError, EnumerationError
@@ -118,6 +120,17 @@ class Fst:
     def _eps_next(self) -> dict[int, list[int]]:
         """Targets of each state's epsilon-input arcs."""
         return _eps_targets(self, 0)
+
+    @cached_property
+    def _moves(self) -> dict[int, dict[int, tuple[tuple[int, int], ...]]]:
+        """Each state's (output, target) moves by input label, in arc order:
+        the index `compose` reads of its right operand. Sorted arcs keep
+        equal labels adjacent."""
+        return {
+            q: {inp: tuple((out, dst) for _, out, dst in group)
+                for inp, group in groupby(arcs, itemgetter(0))}
+            for q, arcs in self.arcs.items()
+        }
 
     @cached_property
     def _live(self) -> Collection[int]:
@@ -238,11 +251,7 @@ def compose(left: Fst, right: Fst) -> Fst:
     if any(inp == FAILURE for arcs in left.arcs.values() for inp, _, _ in arcs):
         raise ConfigError("failure arcs in the left operand are not supported")
 
-    # the right machine's (output, target) moves by state and input
-    r_moves: dict[int, dict[int, list[tuple]]] = defaultdict(lambda: defaultdict(list))
-    for q, arcs in right.arcs.items():
-        for inp, out, dst in arcs:
-            r_moves[q][inp].append((out, dst))
+    r_moves = right._moves  # the right machine's (output, target) moves by state and input
 
     # left moves that emit nothing; a failure chain looks through them
     silent_next = _eps_targets(left, 1)

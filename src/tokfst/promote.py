@@ -82,15 +82,20 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
 
 
 def _composed(
-    a: Dfa, v: Vocabulary, mode: str, label: str, transducer: Callable[[], Fst]
+    a: Dfa, v: Vocabulary, mode: str, label: str, build: Callable[[], Fst]
 ) -> PromotionResult:
-    """One stage: check the pattern, compose with `transducer()`, walk the
-    output side, minimize and record, all inside the clock; on an empty
-    pattern, "empty"."""
+    """One stage: check the pattern, compose with the vocabulary's `label`
+    transducer, walk the output side, minimize and record, all inside the
+    clock; on an empty pattern, "empty". The transducer depends only on the
+    vocabulary, so `build()` runs the first time a promotion needs it and
+    the vocabulary keeps the result (and the index `compose` makes of it)."""
     started = time.perf_counter()
     current = _checked_pattern(a, v)
     if current.finals:
-        walked, deterministic = _output_subsets(compose(current, transducer()))
+        transducer = v._machines.get(label)
+        if transducer is None:
+            transducer = v._machines[label] = build()
+        walked, deterministic = _output_subsets(compose(current, transducer))
     else:
         label = "empty"
         walked, deterministic = _output_subsets(current)
@@ -107,8 +112,8 @@ def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
 
 def promote_maxmatch(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting only longest-match segmentations."""
-    transducer = lambda: build_maxmatch_transducer(build_failure_trie(v))
-    return _composed(a, v, "maxmatch", "maxmatch", transducer)
+    build = lambda: build_maxmatch_transducer(build_failure_trie(v))
+    return _composed(a, v, "maxmatch", "maxmatch", build)
 
 
 def promote_bpe(

@@ -30,6 +30,7 @@ class SymbolTable:
             if tok in self._ids:
                 raise AlphabetError(f"duplicate token {tok!r}")
             self._ids[tok] = i + RESERVED
+        self._char_ids = frozenset(i for t, i in self._ids.items() if len(t) == 1)
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -55,7 +56,7 @@ class SymbolTable:
 
     def char_ids(self) -> frozenset[int]:
         """Ids of the single-character tokens (the character alphabet)."""
-        return frozenset(i + RESERVED for i, t in enumerate(self._tokens) if len(t) == 1)
+        return self._char_ids
 
     def token_ids(self) -> frozenset[int]:
         return frozenset(range(RESERVED, RESERVED + len(self._tokens)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -24,6 +24,9 @@ class Vocabulary:
     """A symbol table validated for open-vocabulary use."""
 
     table: SymbolTable
+    # the transducers promotion composes with, by stage label, each built
+    # the first time a promotion needs it; they depend only on the table
+    _machines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         chars = {self.table.token(i) for i in self.table.char_ids()}

@@ -12,8 +12,10 @@ from tokfst import (
     Fst,
     SymbolTable,
     Transition,
+    Vocabulary,
     accepts,
     canonical_form,
+    compile_pattern,
     compose,
     determinize,
     enumerate_language,
@@ -24,6 +26,7 @@ from tokfst import (
 )
 from tokfst.errors import ConfigError
 from tokfst.fst import _output_subsets
+from tokfst.lexicon import build_failure_trie, build_maxmatch_transducer
 
 from helpers import enumerate_pairs, line_dfa, random_pattern_dfa, random_transducer
 
@@ -369,6 +372,25 @@ def test_compose_expands_right_epsilon_input():
         Transition(1, y, z, 2),
     ))
     assert enumerate_pairs(compose(left, right), 4) == {((x,), (m, z))}
+
+
+def test_compose_reads_one_index_of_its_right_operand():
+    # a right operand keeps the index compose builds of it; a maxmatch
+    # transducer has failure arcs, which compose expands through that index
+    vocab = Vocabulary.from_tokens(["b", "a", "n", "s", "ba", "na", "ban", "bana"])
+    right = build_maxmatch_transducer(build_failure_trie(vocab))
+    arcs = dict(right.arcs)
+    left = compile_pattern("(ba|na)*s?", vocab.table)
+    first = compose(left, right)
+    index = right._moves
+    second = compose(left, right)
+    assert right._moves is index
+    assert second == first
+    assert right.arcs == arcs
+    fresh = build_maxmatch_transducer(build_failure_trie(vocab))
+    assert compose(left, fresh) == first
+    assert index == fresh._moves
+    assert any(FAILURE in moves for moves in index.values())
 
 
 def test_compose_rejects_failure_arcs_on_the_left():

@@ -70,6 +70,37 @@ def test_load_vocab_errors(tmp_path):
         load_vocab(tmp_path / "v.txt")  # single characters missing
 
 
+def test_only_line_feeds_end_vocab_lines(tmp_path):
+    # U+001C, U+0085 and U+2028 are line breaks to `str.splitlines`; here
+    # they are characters of the tokens
+    path = tmp_path / "v.txt"
+    for sep in ("\x1c", "\x85", "\u2028"):
+        tokens = ["x", sep, "y", f"x{sep}y", f"{sep}{sep}"]
+        path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+        assert load_vocab(path).table.tokens == tuple(tokens)
+        # a token with a break that is not itself a token is refused, not split
+        path.write_text(f"a\nx\ny\nx{sep}y\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="which is not itself a token"):
+            load_vocab(path)
+        # line numbers count line feeds only
+        path.write_text(f"{sep}\nx{sep}\n\nb\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=":3: empty line"):
+            load_vocab(path)
+    # CR LF ends one line, as LF does
+    path.write_bytes(b"a\r\nb\r\nab\r\n")
+    assert load_vocab(path).table.tokens == ("a", "b", "ab")
+
+
+def test_only_line_feeds_end_merge_lines(tmp_path):
+    vocab = Vocabulary.from_tokens(["a", "\x85", "\u2028", "\x1c", "a\x85", "\u2028\x1c"])
+    path = tmp_path / "m.txt"
+    path.write_text("a \x85\n# c\u2028d\n\u2028 \x1c\n", encoding="utf-8")
+    assert load_merges(path, vocab).merge_tokens() == (("a", "\x85"), ("\u2028", "\x1c"))
+    path.write_text("a \x85\r\n\x1c\u2028\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=":2: expected two space-separated tokens"):
+        load_merges(path, vocab)
+
+
 def test_load_merges(workdir):
     vocab = load_vocab(workdir / "fig3v.txt")
     tok = load_merges(workdir / "fig3m.txt", vocab)

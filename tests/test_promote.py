@@ -5,8 +5,10 @@ counts; the randomized sweeps at acceptance scale live in
 test_acceptance.py.
 """
 
+import gc
 import random
 import time
+import weakref
 
 import pytest
 
@@ -35,9 +37,10 @@ from tokfst import (
     promote_bpe_chained,
     promote_maxmatch,
 )
+from tokfst.lexicon import build_failure_trie, build_lexicon_transducer, build_maxmatch_transducer
 from tokfst.promote import expected_promotion
 
-from helpers import random_merge_tokenizer, random_pattern_text
+from helpers import draw_until, random_merge_tokenizer, random_pattern_dfa, random_pattern_text
 
 FIG4 = Vocabulary.from_tokens(["a", "b", "c", "ab", "abc", "bc"])
 FIG6 = Vocabulary.from_tokens(["a", "b", "aa", "ab"])
@@ -418,6 +421,82 @@ def test_operations_build_no_transition_records(monkeypatch):
     assert {r.mode for r in results} == {"agnostic", "maxmatch", "bpe"}
     assert built == []
     assert len(d.transitions) == len(built) > 0
+
+
+# ---------------------------------------------------------------------------
+# per-vocabulary transducers
+
+
+def _counting_builders(monkeypatch):
+    built = []
+    for name in ("build_lexicon_transducer", "build_failure_trie", "build_maxmatch_transducer"):
+        def counted(arg, name=name, build=getattr(tokfst.promote, name)):
+            built.append(name)
+            return build(arg)
+        monkeypatch.setattr(tokfst.promote, name, counted)
+    return built
+
+
+def test_each_vocabulary_builds_its_transducers_once(monkeypatch):
+    built = _counting_builders(monkeypatch)
+    vocab = Vocabulary.from_tokens(FIG4.table.tokens)
+    # an empty pattern composes with nothing, so it builds nothing
+    for promote in (promote_agnostic, promote_maxmatch):
+        assert promote(compile_pattern("a[^abc]", vocab.table), vocab).stats[0].label == "empty"
+    assert built == []
+    for pattern in ("abaabcc", "(ab|c)+", "a?b", "(a|b|c)*", "c"):
+        a = compile_pattern(pattern, vocab.table)
+        promote_agnostic(a, vocab)
+        promote_maxmatch(a, vocab)
+    assert sorted(built) == ["build_failure_trie", "build_lexicon_transducer",
+                             "build_maxmatch_transducer"]
+    # the machines belong to the vocabulary object: an equal one builds its own
+    built.clear()
+    again = Vocabulary.from_tokens(FIG4.table.tokens)
+    a = compile_pattern("abc", again.table)
+    for _ in range(3):
+        promote_agnostic(a, again)
+        promote_maxmatch(a, again)
+    assert len(built) == 3
+
+
+def test_promotions_leave_the_cached_transducers_as_built():
+    vocab = Vocabulary.from_tokens(["a", "b", "c", "d", "ab", "abc", "bc", "cd", "dd", "bcd"])
+    a = compile_pattern("abcd", vocab.table)
+    promote_agnostic(a, vocab)
+    promote_maxmatch(a, vocab)
+    machines = dict(vocab._machines)
+    assert sorted(machines) == ["lexicon", "maxmatch"]
+    snapshot = {label: (dict(m.arcs), {q: dict(moves) for q, moves in m._moves.items()})
+                for label, m in machines.items()}
+    rng = random.Random(1616)
+    for _ in range(40):
+        pattern = draw_until(lambda: random_pattern_dfa(rng, vocab.table, max_states=6))
+        warm = promote_agnostic(pattern, vocab), promote_maxmatch(pattern, vocab)
+        fresh = Vocabulary(vocab.table)
+        cold = promote_agnostic(pattern, fresh), promote_maxmatch(pattern, fresh)
+        assert [canonical_form(r.dfa) for r in warm] == [canonical_form(r.dfa) for r in cold]
+        assert [r.stats[0][:2] for r in warm] == [r.stats[0][:2] for r in cold]
+    assert vocab._machines == machines
+    for label, m in machines.items():
+        assert vocab._machines[label] is m
+        assert (dict(m.arcs), {q: dict(moves) for q, moves in m._moves.items()}) == snapshot[label]
+    assert machines["lexicon"] == build_lexicon_transducer(vocab)
+    assert machines["maxmatch"] == build_maxmatch_transducer(build_failure_trie(vocab))
+
+
+def test_cached_transducers_do_not_keep_a_vocabulary_alive():
+    vocab = Vocabulary.from_tokens(["x", "y", "xy", "yx"])
+    a = compile_pattern("(xy)*", vocab.table)
+    results = [promote_agnostic(a, vocab), promote_maxmatch(a, vocab)]
+    ref = weakref.ref(vocab)
+    machines = [weakref.ref(m) for m in vocab._machines.values()]
+    assert len(machines) == 2
+    del vocab
+    gc.collect()
+    assert ref() is None
+    assert [m() for m in machines] == [None, None]
+    assert all(r.dfa.finals for r in results)
 
 
 # ---------------------------------------------------------------------------
