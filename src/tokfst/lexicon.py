@@ -1,12 +1,14 @@
-"""Builders for the three character-to-subword machines.
+"""Builders for the character-to-subword machines.
 
+* the token trie by ids, and its walk against a DFA from every state: the
+  token steps that BPE promotion filters,
 * the tokenization-agnostic lexicon transducer (a starred trie that maps any
   token's character sequence to that token),
 * the greedy longest-match transducer (a trie with failure arcs that pop
   pending tokens, so every string maps to exactly its longest-match
   segmentation),
-* merge gadgets (3-state transducers applying one byte-pair merge), and the
-  merge stage, which applies one merge to a DFA without building its gadget.
+* merge gadgets (3-state transducers applying one byte-pair merge), which
+  the paper's construction, `promote_bpe_chained`, composes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .fst import EPSILON, FAILURE, Dfa, Fst, _discover
+from .fst import EPSILON, FAILURE, Dfa, Fst
 from .symbols import RESERVED, SymbolTable
 from .tokenizers import Vocabulary, maxmatch_tokenize
 
@@ -32,6 +34,50 @@ def _trie(tokens: tuple[str, ...]) -> tuple[list[str], dict[str, dict[str, str]]
     for p in order[1:]:
         children[p[:-1]][p[-1]] = p
     return order, children
+
+
+# per node: the token it spells (None for a prefix of tokens only) and its
+# children by character id
+TokenTrie = tuple[tuple[int | None, dict[int, int]], ...]
+
+
+def build_token_trie(v: Vocabulary) -> TokenTrie:
+    """The token trie by ids, for walking, its nodes numbered in `_trie`'s
+    order: the root is 0."""
+    table = v.table
+    order, children = _trie(table.tokens)
+    ids = {prefix: n for n, prefix in enumerate(order)}
+    return tuple(
+        (table.id(prefix) if prefix in table else None,
+         {table.id(ch): ids[child] for ch, child in children[prefix].items()})
+        for prefix in order
+    )
+
+
+def token_steps(trie: TokenTrie, d: Dfa) -> list[list[tuple[int, int]]]:
+    """Per state q of `d`, each token t that `d` reads from q whole, with
+    the state it reads t into, sorted by t: the trie walked against `d`
+    from every state. `d` is deterministic, so each t has one target."""
+    delta = [{} for _ in range(d.num_states)]
+    for q, arcs in d.arcs.items():
+        delta[q] = {inp: dst for inp, _, dst in arcs}
+    steps = []
+    for q in range(d.num_states):
+        found = []
+        stack = [(0, q)]
+        while stack:
+            node, state = stack.pop()
+            moves = delta[state]
+            for ch, child in trie[node][1].items():
+                dst = moves.get(ch)
+                if dst is not None:
+                    token = trie[child][0]
+                    if token is not None:
+                        found.append((token, dst))
+                    stack.append((child, dst))
+        found.sort()
+        steps.append(found)
+    return steps
 
 
 def build_lexicon_transducer(v: Vocabulary) -> Fst:
@@ -138,8 +184,7 @@ class MergeGadget:
     and 2 lets the failure arc flush at end of input. State 1 emits the held
     token through the flush alone, so merge stages stay deterministic.
 
-    `promote_bpe_chained` composes these gadgets; `promote_bpe` applies each
-    merge through `merge_stage`, which builds the minimized result directly.
+    `promote_bpe_chained` composes these gadgets; `promote_bpe` uses none.
     """
 
     fst: Fst
@@ -182,81 +227,3 @@ def build_merge_gadget(
     arcs = {q: tuple(sorted(s)) for q, s in enumerate((copying, holding, flushed)) if s}
     fst = Fst._trusted(table, 3, 0, frozenset([0, 2]), arcs)
     return MergeGadget(fst, ab)
-
-
-def merge_stage(d: Dfa, pair: tuple[int, int]) -> Dfa:
-    """The output side of composing `d` with the gadget for `pair` over its
-    input alphabet, built as one walk over (state, phase) keys: no gadget,
-    no product machine and no subset construction.
-
-    Phase 0 is the gadget's state 0 and phase 2 its state 2, just after a
-    flush. The holding state 1 is resolved on the arc that enters it: the
-    left operand x on an arc into r becomes the result z if r has an arc on
-    the right operand y, and a flush of x into (r, 2) if r is final or has an
-    arc on a label other than y and z, which is when the composition keeps
-    the failure chain. Phase 0 copies every label but x and z; phase 2 every
-    label but x, y and z, and holds x again when x != y. `d` is
-    deterministic, so each key has one move per label and the result is a
-    DFA; a key is final iff its state is.
-
-    (r, 2) therefore moves as a phase-0 key of a state with r's finality and
-    r's arcs minus its arc on y would. The walk names each flush target by
-    that: (q, 0) if `d` has such a state q, and otherwise the first flush
-    target made with the same finality and arcs minus y. The index of `d`'s
-    states by (finality, arcs) is built at the first flush.
-
-    When `d` is trim and has no arc on z, as in every stage of `promote_bpe`,
-    the result is trim: every key reaches a final one along a path of `d`
-    to a final state, any path for (q, 0) and, for (r, 2), one not starting
-    with y, which exists whenever the walk makes (r, 2). The path's first
-    label is not z. A label other than x is copied into (next, 0). An x,
-    held again in phase 2 since x != y there, moves on z into (next, 0)
-    when y follows on the path, and otherwise flushes into (r, 2), with the
-    rest of the path not starting with y. Each move consumes path, which
-    ends at a final key; the walk reaches every key. With arcs on z in `d`
-    the walk drops them, and dead keys can remain.
-
-    When `d` is also minimal, so is the result. Let M be the merge's
-    rewrite of a sequence; without z in `d` it is injective, as replacing
-    each z by x y undoes it. (q, 0) accepts M(L_q), L_q being q's language
-    in `d`, and (r, 2) accepts M of the sequences of L_r that do not start
-    with y. So two keys are equivalent iff these languages of `d` are equal.
-    In a minimal trim `d`, equal languages belong to one state and no arc
-    leads to an empty one. So (r, 2) is equivalent to (q, 0) iff q has r's
-    finality and r's arcs minus y, and two flush targets are equivalent iff
-    they agree in finality and arcs minus y: exactly the identifications
-    the walk makes. No two of its keys are equivalent, and it numbers them
-    breadth first in label order, as `minimize` numbers the composition's
-    blocks: by their first state in that order.
-    """
-    x, y = pair
-    z = _merge_result(pair, d.table)
-    finals = d.finals
-    names: dict[tuple, tuple[int, int]] = {}  # (final, arcs) -> key, d's states first
-    flushes: dict[int, tuple[int, int]] = {}  # r -> the key made for (r, 2)
-
-    def flush_key(r: int) -> tuple[int, int]:
-        key = flushes.get(r)
-        if key is None:
-            if not names:  # the first flush: index d's states
-                for q in range(d.num_states):
-                    names.setdefault((q in finals, d.arcs.get(q, ())), (q, 0))
-            arcs = tuple(arc for arc in d.arcs.get(r, ()) if arc[0] != y)
-            key = flushes[r] = names.setdefault((r in finals, arcs), (r, 2))
-        return key
-
-    def expand(key: tuple[int, int]) -> tuple[bool, list[tuple[int, int, tuple[int, int]]]]:
-        q, phase = key
-        moves = []
-        for inp, _, dst in d.arcs.get(q, ()):
-            if inp == x and (phase == 0 or x != y):
-                r_arcs = d.arcs.get(dst, ())
-                moves.extend((z, z, (s, 0)) for inp2, _, s in r_arcs if inp2 == y)
-                if dst in finals or any(inp2 != y and inp2 != z for inp2, _, _ in r_arcs):
-                    moves.append((x, x, flush_key(dst)))
-            elif inp != z and (phase == 0 or inp != y):
-                moves.append((inp, inp, (dst, 0)))
-        moves.sort()  # labels are distinct: number the targets in label order
-        return q in finals, moves
-
-    return _discover(Dfa, d.table, (d.start, 0), expand)

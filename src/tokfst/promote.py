@@ -1,10 +1,8 @@
 """Pattern promotion: lift a character-level pattern automaton to one over
 subword tokens.
 
-Each stage builds the output side of the current machine under a
-transducer as a minimal DFA; results are in canonical form. Agnostic and
-maxmatch promotion are one stage each, a composition then `minimize`; BPE
-promotion is one stage per merge that changes the machine.
+Each mode is one stage that builds the token-level machine as a minimal
+DFA; results are in canonical form.
 
 * agnostic: compose with the lexicon transducer, then one subset
   construction over the output side of the composition that also passes
@@ -12,20 +10,21 @@ promotion is one stage per merge that changes the machine.
   string.
 * maxmatch: the same with the greedy longest-match transducer; accepts only
   the longest-match segmentation of each matching string.
-* bpe: the pattern is minimized once, then the merges run in priority
-  order, one stage per merge whose pair occurs in the current machine,
-  through `merge_stage`, one walk that builds the minimal DFA that
-  composing the merge gadget and minimizing would give. Accepts only the
-  byte-pair segmentation of each matching string.
+* bpe: the pattern's token steps (the token trie walked from each pattern
+  state) times a bigram filter: one walk over (pattern state, class of the
+  last token's forbidden followers) keys that keeps only canonical tokens
+  and allowed pairs, then `minimize`. Accepts only the byte-pair
+  segmentation of each matching string. `promote_bpe_chained` is the
+  paper's construction, one merge gadget composed per merge, kept as its
+  cross-check.
 
-Lexicon and merge stages are deterministic by construction, so their subset
-construction never merges targets; maxmatch stages sometimes need it.
+Lexicon stages and the bigram walk are deterministic by construction, so
+no subset construction merges targets; maxmatch stages sometimes need it.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -33,6 +32,7 @@ from .errors import AlphabetError, ConfigError, EnumerationError
 from .fst import (
     Dfa,
     Fst,
+    _discover,
     _output_subsets,
     compose,
     determinize,
@@ -47,7 +47,8 @@ from .lexicon import (
     build_lexicon_transducer,
     build_maxmatch_transducer,
     build_merge_gadget,
-    merge_stage,
+    build_token_trie,
+    token_steps,
 )
 from .tokenizers import BpeTokenizer, Vocabulary, iter_segmentations, maxmatch_tokenize
 
@@ -81,21 +82,27 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     return trim(a)
 
 
+def _vocab_machine(v: Vocabulary, label: str, build: Callable[[], object]):
+    """The vocabulary's machine `label`: built by `build()` the first time
+    a promotion needs it, then kept by the vocabulary, as it depends only
+    on the table."""
+    machine = v._machines.get(label)
+    if machine is None:
+        machine = v._machines[label] = build()
+    return machine
+
+
 def _composed(
     a: Dfa, v: Vocabulary, mode: str, label: str, build: Callable[[], Fst]
 ) -> PromotionResult:
     """One stage: check the pattern, compose with the vocabulary's `label`
     transducer, walk the output side, minimize and record, all inside the
-    clock; on an empty pattern, "empty". The transducer depends only on the
-    vocabulary, so `build()` runs the first time a promotion needs it and
-    the vocabulary keeps the result (and the index `compose` makes of it)."""
+    clock; on an empty pattern, "empty". The vocabulary keeps the
+    transducer (`_vocab_machine`), with the index `compose` makes of it."""
     started = time.perf_counter()
     current = _checked_pattern(a, v)
     if current.finals:
-        transducer = v._machines.get(label)
-        if transducer is None:
-            transducer = v._machines[label] = build()
-        walked, deterministic = _output_subsets(compose(current, transducer))
+        walked, deterministic = _output_subsets(compose(current, _vocab_machine(v, label, build)))
     else:
         label = "empty"
         walked, deterministic = _output_subsets(current)
@@ -124,70 +131,50 @@ def promote_bpe(
 ) -> PromotionResult:
     """Token-level automaton accepting only byte-pair segmentations.
 
-    The pattern is settled in canonical minimal form, then the merges run
-    in priority order. A merge acts only when its pair occurs in the
-    current machine: some arc on x enters a state with an arc on y. Every
-    machine here is trim, so that is exactly when the merge changes the
-    language: it rewrites an accepted sequence holding the pair into one
-    holding x+y, which none holds yet. `merge_stage` then builds, in one
-    walk, the minimal DFA that composing the merge gadget and minimizing
-    would give; the result is marked trim, so no later `trim` walks it.
+    A token sequence is the tokenization of its text iff each token is
+    canonical and each adjacent pair is allowed (`BigramTables`). So the
+    result is the pattern read a token at a time, with the last token's
+    class of forbidden followers carried along: one walk over (pattern
+    state, class) keys, starting in class 0, which forbids nothing, then
+    `minimize`. A key steps on token t to (δ*(q, t), class of t) when t is
+    canonical and not forbidden; it is final iff its pattern state is. The
+    steps are deterministic, so no subset construction runs.
 
-    One stage, and one stage_hook call, per merge that acts, labelled
-    "merge n (x+y)" by its position in the list. When none acts, the one
-    stage is the settled pattern, "identity" or "empty", and no hook is
-    called. Each stage's clock starts where the previous one stopped (the
-    first before the pattern check) and the last one runs to the end, so
-    the stages cover the whole call but the hooks.
+    One stage, labelled "bigram" ("empty" on an empty pattern), whose clock
+    covers the whole call but the one stage_hook call after it.
     """
     started = time.perf_counter()
-    current = minimize(_output_subsets(_checked_pattern(a, t.vocab))[0])
-    table = t.vocab.table
-    stats: list[StageStats] = []
-    seen, entered = False, None  # a merge checked the machine; its arc targets by label
-    for n, (x, y) in enumerate(t.merges, 1):
-        if not seen:  # most machines a merge makes are checked once: one scan
-            seen = True
-            after_x = {dst for q_arcs in current.arcs.values() for inp, _, dst in q_arcs if inp == x}
-        else:  # a merge kept the machine: index it once for the checks to come
-            entered = entered or _targets_by_label(current)
-            after_x = entered.get(x, ())
-        if not any(inp == y for q in after_x for inp, _, _ in current.arcs.get(q, ())):
-            continue
-        current = merge_stage(current, (x, y))
-        # trim, as current was trim without an arc on x+y (merge_stage)
-        current = Dfa._trusted(table, current.num_states, current.start,
-                               current.finals, current.arcs, trim=True)
-        seen, entered = False, None
-        label = f"merge {n} ({table.token(x)}+{table.token(y)})"
-        arcs = sum(map(len, current.arcs.values()))
-        stats.append(StageStats(label, current.num_states, arcs, time.perf_counter() - started, True))
-        if stage_hook is not None:
-            stage_hook(label, current)
-        started = time.perf_counter()
-    rest = time.perf_counter() - started
-    if stats:
-        stats[-1] = stats[-1]._replace(seconds=stats[-1].seconds + rest)
-    else:
-        label = "identity" if current.finals else "empty"
-        arcs = sum(map(len, current.arcs.values()))
-        stats.append(StageStats(label, current.num_states, arcs, rest, True))
-    return PromotionResult(current, "bpe", tuple(stats))
+    current = _checked_pattern(a, t.vocab)
+    label = "bigram" if current.finals else "empty"
+    if current.finals:
+        current = minimize(_bigram_product(current, t))
+    arcs = sum(map(len, current.arcs.values()))
+    st = StageStats(label, current.num_states, arcs, time.perf_counter() - started, True)
+    if stage_hook is not None:
+        stage_hook(label, current)
+    return PromotionResult(current, "bpe", (st,))
 
 
-def _targets_by_label(d: Dfa) -> dict[int, set[int]]:
-    entered: dict[int, set[int]] = defaultdict(set)
-    for arcs in d.arcs.values():
-        for inp, _, dst in arcs:
-            entered[inp].add(dst)
-    return entered
+def _bigram_product(d: Dfa, t: BpeTokenizer) -> Dfa:
+    canonical, classes, forbidden = t.bigram_tables
+    trie = _vocab_machine(t.vocab, "trie", lambda: build_token_trie(t.vocab))
+    moves = [[(tok, tok, (dst, classes[tok])) for tok, dst in q_steps if tok in canonical]
+             for q_steps in token_steps(trie, d)]
+    finals = d.finals
+
+    def expand(key: tuple[int, int]) -> tuple[bool, list[tuple[int, int, tuple[int, int]]]]:
+        q, c = key
+        banned = forbidden[c]
+        return q in finals, [m for m in moves[q] if m[0] not in banned] if banned else moves[q]
+
+    return _discover(Dfa, d.table, (d.start, 0), expand)
 
 
 def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:
     """The one-shot composition chain: all gadgets composed first, then
     projection, epsilon removal, determinization and minimization, one
-    operator each. Exponentially worse than promote_bpe on adversarial
-    inputs; kept as a cross-check of the staged schedule and its walk.
+    operator each: the paper's construction. Exponentially worse than
+    promote_bpe on adversarial inputs; kept as a cross-check of its walk.
     """
     a = _checked_pattern(a, t.vocab)
     table = t.vocab.table

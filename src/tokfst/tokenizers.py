@@ -10,10 +10,10 @@ deterministic functions from text to one canonical token sequence out of the
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AlphabetError, ConfigError
 from .symbols import SymbolTable
@@ -24,8 +24,9 @@ class Vocabulary:
     """A symbol table validated for open-vocabulary use."""
 
     table: SymbolTable
-    # the transducers promotion composes with, by stage label, each built
-    # the first time a promotion needs it; they depend only on the table
+    # what promotion builds from the table alone, by name: the transducers
+    # it composes with and the token trie it walks, each built the first
+    # time a promotion needs it
     _machines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,6 +97,76 @@ def apply_merge(seq: tuple[int, ...], merge: tuple[int, int], table: SymbolTable
     return tuple(out)
 
 
+class BigramTables(NamedTuple):
+    """Which token sequences a `BpeTokenizer` outputs, by adjacent pairs.
+
+    A sequence is the tokenization of its text iff each token is canonical
+    and no token is followed by one its class forbids (Vieira et al.,
+    "Language Models over Canonical Byte-Pair Encodings", 2025)."""
+
+    canonical: frozenset[int]  # the tokens that are their own tokenization
+    classes: dict[int, int]  # canonical token -> the class of its forbidden followers
+    forbidden: tuple[frozenset[int], ...]  # by class; class 0 forbids nothing
+
+
+def _bigram_tables(merges: tuple[tuple[int, int], ...], table: SymbolTable) -> BigramTables:
+    """The spine rule. While a text x+y is tokenized, the two sides evolve
+    as x and y alone until a merge crosses the boundary. At merge rank r the
+    left side ends in the node of x's right spine (x, its right operand,
+    that token's right operand, ... down to a character) that lives at r:
+    born at the rank of the merge that made it (-1 for a character), dead
+    at the rank of the merge that made its parent on the spine (len(merges)
+    for x itself). The right side starts with the node of y's left spine
+    living at r. Merge (a, b) crosses iff a lives on x's spine with
+    birth < r < death, as at r = death the pass pairs a inside x first, and
+    b on y's with birth < r <= death, as the pass meets the crossing pair
+    before the pair that kills b. So (x, y) is forbidden iff such a merge
+    exists, and x + y made at rank r is canonical iff x and y are and the
+    first merge crossing them is r itself.
+    """
+    end = len(merges)
+    by_left: dict[int, list[tuple[int, int]]] = defaultdict(list)  # a -> (rank, b), by rank
+    for r, (a, b) in enumerate(merges):
+        by_left[a].append((r, b))
+    # (node, birth, death) from the top; only canonical tokens have spines
+    right = {c: ((c, -1, end),) for c in table.char_ids()}
+    left = dict(right)
+    crossings: dict[int, dict[int, int]] = {}  # x -> b -> the first rank crossing into b
+
+    def crossing(x: int) -> dict[int, int]:
+        first = crossings.get(x)
+        if first is None:
+            first = crossings[x] = {}
+            for a, born, died in right[x]:
+                for r, b in by_left.get(a, ()):
+                    if born < r < min(died, first.get(b, end)):
+                        first[b] = r
+        return first
+
+    for r, (a, b) in enumerate(merges):
+        first = crossing(a) if a in right and b in left else None
+        if first is None or any(first.get(n, end) < r and first[n] <= died
+                                for n, _, died in left[b]):
+            continue
+        z = table.id(table.token(a) + table.token(b))
+        right[z] = ((z, r, end),) + tuple((n, born, r if died == end else died)
+                                          for n, born, died in right[b])
+        left[z] = ((z, r, end),) + tuple((n, born, r if died == end else died)
+                                         for n, born, died in left[a])
+
+    followers: dict[int, list[tuple[int, int]]] = defaultdict(list)  # b -> (death, y)
+    for y in sorted(left):
+        for n, _, died in left[y]:
+            followers[n].append((died, y))
+    classes: dict[int, int] = {}
+    numbered: dict[frozenset[int], int] = {frozenset(): 0}
+    for x in sorted(right):
+        banned = frozenset(y for b, r in crossing(x).items()
+                           for died, y in followers.get(b, ()) if r <= died)
+        classes[x] = numbered.setdefault(banned, len(numbered))
+    return BigramTables(frozenset(right), classes, tuple(numbered))
+
+
 @dataclass(frozen=True)
 class BpeTokenizer:
     """A byte-pair tokenizer: an ordered merge list over a vocabulary.
@@ -151,6 +222,10 @@ class BpeTokenizer:
         except TypeError:
             raise ConfigError("merges must be a sequence of token pairs") from None
         return cls(vocab, merges)
+
+    @cached_property
+    def bigram_tables(self) -> BigramTables:
+        return _bigram_tables(self.merges, self.vocab.table)
 
     def merge_tokens(self) -> tuple[tuple[str, str], ...]:
         table = self.vocab.table

@@ -20,15 +20,19 @@ from tokfst import (
     SymbolTable,
     Transition,
     Vocabulary,
+    build_merge_gadget,
+    canonical_form,
     compose,
     count_segmentations,
     enumerate_language,
     epsilon_remove,
+    minimize,
     project_output,
     promote_agnostic,
     promote_bpe,
     trim,
 )
+from tokfst.fst import _output_subsets
 
 # ---------------------------------------------------------------------------
 # small machine constructors
@@ -79,6 +83,25 @@ def enumerate_pairs(machine: Fst, max_len: int,
                 seen.add(key)
                 stack.append(key)
     return pairs
+
+
+def gadget_stages(a: Dfa, tok: BpeTokenizer) -> tuple[Dfa, list[tuple[str, bool, bool]]]:
+    """The paper's construction run one merge at a time: each merge's gadget,
+    over the labels of the current minimal machine, composed with it, the
+    output side walked by one subset construction, then minimized. Returns
+    the last machine and, per merge, its label, whether it changed the
+    machine and whether the subset construction merged no targets."""
+    table = tok.vocab.table
+    current = canonical_form(minimize(a))
+    stages = []
+    for n, pair in enumerate(tok.merges, 1):
+        gadget = build_merge_gadget(pair, current.input_alphabet, table)
+        walked, deterministic = _output_subsets(compose(current, gadget.fst))
+        after = minimize(walked)
+        label = f"merge {n} ({table.token(pair[0])}+{table.token(pair[1])})"
+        stages.append((label, after != current, deterministic))
+        current = after
+    return current, stages
 
 
 # ---------------------------------------------------------------------------

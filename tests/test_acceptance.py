@@ -32,6 +32,7 @@ from helpers import (
     agnostic_instances,
     bpe_instances,
     draw_until,
+    gadget_stages,
     random_merge_tokenizer,
     random_pattern_dfa,
 )
@@ -153,40 +154,47 @@ def test_criterion_05_bpe_oracle_equality():
 
 
 def test_criterion_06_stage_determinism():
-    """Lexicon and merge stages are deterministic before minimization.
+    """Lexicon and merge-gadget stages are deterministic before minimization.
 
     The lexicon half holds by construction. The gadget half holds because a
     merge gadget emits its held operand through the flush arc alone: a
     repeated operand is flushed and then held again, so when a pattern
     branches on the symbol after a held operand, both continuations emit
-    that operand along one arc. The subset construction each stage runs
-    (which sets the recorded flag) never has to merge targets.
+    that operand along one arc. `promote_bpe` composes no gadget, so the
+    gadgets are composed here one merge at a time, as the paper's staged
+    construction does, and each subset construction must merge no targets;
+    the staged result must equal `promote_bpe`'s.
     """
     lexicon_bad = []
     for n, (_, _, res) in enumerate(agnostic_instances()):
         for st in res.stats:
             if st.label == "lexicon" and not st.deterministic_before_minimize:
                 lexicon_bad.append(n)
-    gadget_bad = []
-    for n, (_, _, res) in enumerate(bpe_instances()):
-        for st in res.stats:
-            if st.label.startswith("merge") and not st.deterministic_before_minimize:
-                gadget_bad.append((f"random[{n}]", st.label))
+    gadget_bad, mismatched = [], []
+    live = composed = 0
+    cases = [(f"random[{n}]", a, tok, res) for n, (a, tok, res) in enumerate(bpe_instances())]
     for label, tok, pattern in [("sect52", SECT52, "bcababcc"),
                                 ("fig7", FIG7, "...?.?.?.?")]:
-        res = promote_bpe(compile_pattern(pattern, tok.vocab.table), tok)
-        for st in res.stats:
-            if not st.deterministic_before_minimize:
-                gadget_bad.append((label, st.label))
-    ok = not lexicon_bad and not gadget_bad
+        a = compile_pattern(pattern, tok.vocab.table)
+        cases.append((label, a, tok, promote_bpe(a, tok)))
+    for label, a, tok, res in cases:
+        staged, stages = gadget_stages(a, tok)
+        if staged != res.dfa:
+            mismatched.append(label)
+        live += sum(changed for _, changed, _ in stages)
+        composed += len(stages)
+        gadget_bad += [(label, stage) for stage, _, det in stages if not det]
+    ok = not lexicon_bad and not gadget_bad and not mismatched and live > 50
     detail = (f"lexicon violations: {len(lexicon_bad)}, "
-              f"merge-stage violations: {len(gadget_bad)}")
+              f"merge-gadget violations: {len(gadget_bad)} in {composed} stages, {live} live, "
+              f"{len(mismatched)} results unlike promote_bpe's")
     if gadget_bad:
         detail += f" (e.g. {gadget_bad[:3]})"
     verdict(6, ok, detail)
     assert not lexicon_bad
+    assert live > 50 and not mismatched, mismatched[:5]
     assert not gadget_bad, (
-        f"{len(gadget_bad)} merge-stage intermediates required subset "
+        f"{len(gadget_bad)} merge-gadget intermediates required subset "
         f"construction, first few: {gadget_bad[:5]}. Branching patterns make "
         "the held-operand flush ambiguous before minimization; languages stay "
         "exact (criteria 5 and 8), but determinism-before-minimize does not "

@@ -1,5 +1,5 @@
 """Transducer builders: the segmentation lexicon, the longest-match machine
-with failure arcs, and the merge gadgets."""
+with failure arcs and the merge gadgets; and the token trie's walk."""
 
 import random
 
@@ -17,14 +17,10 @@ from tokfst import (
     build_lexicon_transducer,
     build_maxmatch_transducer,
     build_merge_gadget,
-    compose,
     iter_segmentations,
     maxmatch_tokenize,
-    minimize,
-    trim,
 )
-from tokfst.fst import _output_subsets
-from tokfst.lexicon import merge_stage
+from tokfst.lexicon import build_token_trie, token_steps
 from tokfst.symbols import RESERVED
 
 from helpers import random_merge_tokenizer, random_vocab, transduce
@@ -228,38 +224,30 @@ def test_gadget_requires_the_result_token():
         build_merge_gadget((table.id("a"), table.id("b")), frozenset(table.token_ids()), table)
 
 
-def test_merge_stage_is_the_minimized_gadget_composition():
-    table = SymbolTable(["a", "b", "c", "aa", "ab", "bc", "ca", "aab", "abc", "bca", "aaab"])
-    ids = sorted(table.token_ids())
-    pairs = [(x, y) for x in ids for y in ids if table.token(x) + table.token(y) in table]
+def test_token_steps_read_each_token_from_every_state():
     rng = random.Random(65)
-    cases = self_pairs = z_present = final_flush = open_flush = identified = 0
-    while cases < 2000:
-        x, y = pair = rng.choice(pairs)
-        z = table.id(table.token(x) + table.token(y))
-        labels = {x, y, *rng.sample(ids, rng.randint(0, 3))}
-        n = rng.randint(1, 6)
-        arcs = [(q, c, c, rng.randrange(n)) for q in range(n) for c in sorted(labels)
-                if rng.random() < 0.45]
-        finals = {q for q in range(n) if rng.random() < 0.4}
-        d = trim(Dfa(table, n, 0, finals, arcs))
-        if not d.finals:
-            continue
-        composed, deterministic = _output_subsets(
-            compose(d, build_merge_gadget(pair, d.input_alphabet, table).fst))
-        assert deterministic
-        m = merge_stage(d, pair)
-        assert minimize(m) == minimize(composed), (d.arcs, d.finals, pair)
-        if z not in d.input_alphabet:  # as in promote_bpe: the walk leaves no dead key
-            assert trim(m) is m, (d.arcs, d.finals, pair)
-            # and on a minimal machine it is minimal, numbered as minimize numbers
-            minimal = minimize(d)
-            assert merge_stage(minimal, pair) == minimize(composed), (minimal.arcs, pair)
-        cases += 1
-        identified += m.num_states < composed.num_states  # a flush target was renamed
-        self_pairs += x == y
-        z_present += z in d.input_alphabet
-        held = {dst for arcs in d.arcs.values() for inp, _, dst in arcs if inp == x}
-        final_flush += not held.isdisjoint(d.finals)
-        open_flush += any(inp not in (y, z) for r in held - d.finals for inp, _, _ in d.arcs.get(r, ()))
-    assert min(self_pairs, z_present, final_flush, open_flush, identified) > 100
+    found = 0
+    for _ in range(200):
+        chars = "".join(sorted(rng.sample("abc", rng.randint(1, 3))))
+        vocab = random_vocab(rng, chars, rng.randint(0, 6))
+        table = vocab.table
+        n = rng.randint(1, 5)
+        arcs = [(q, c, c, rng.randrange(n)) for q in range(n) for c in sorted(table.char_ids())
+                if rng.random() < 0.6]
+        d = Dfa(table, n, 0, {n - 1}, arcs)
+        delta = {(q, inp): dst for q, q_arcs in d.arcs.items() for inp, _, dst in q_arcs}
+        steps = token_steps(build_token_trie(vocab), d)
+        assert len(steps) == n
+        for q in range(n):
+            expected = []
+            for t in sorted(table.token_ids()):
+                state = q
+                for ch in table.token(t):
+                    state = delta.get((state, table.id(ch)))
+                    if state is None:
+                        break
+                else:
+                    expected.append((t, state))
+            assert steps[q] == expected, (table.tokens, d.arcs, q)
+            found += len(expected)
+    assert found > 1000

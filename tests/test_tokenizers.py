@@ -176,6 +176,33 @@ def test_bpe_canonicality_is_bigram_local():
     assert kept == 4000 and by_pair > 5000 and rejected > 50_000 and self_pairs > 200
 
 
+def test_spine_rule_tables_agree_with_tokenize():
+    """The bigram tables come from the merge trees alone (the spine rule);
+    `tokenize` must agree on every token and every pair of canonical
+    tokens. Small alphabets and long merge lists make self-pairs, tokens
+    that are not their own tokenization and forbidden pairs common."""
+    rng = random.Random(2024)
+    pairs = forbidden = not_canonical = self_pairs = 0
+    for _ in range(300):
+        chars = "".join(sorted(rng.sample("abc", rng.randint(1, 3))))
+        tok = random_merge_tokenizer(rng, chars, rng.randint(0, 14))
+        table = tok.vocab.table
+        canonical, classes, banned = tok.bigram_tables
+        assert canonical == {t for t in table.token_ids() if tok.tokenize(table.token(t)) == (t,)}
+        assert sorted(classes) == sorted(canonical) and banned[0] == frozenset()
+        assert len(set(banned)) == len(banned)  # one class per forbidden set
+        for x in canonical:
+            for y in canonical:
+                own = tok.tokenize(table.token(x) + table.token(y)) == (x, y)
+                assert own == (y not in banned[classes[x]]), (
+                    tok.merge_tokens(), table.token(x), table.token(y))
+                pairs += 1
+                forbidden += not own
+        not_canonical += len(table) - len(canonical)
+        self_pairs += sum(x == y for x, y in tok.merges)
+    assert pairs > 10_000 and forbidden > 1000 and not_canonical > 100 and self_pairs > 200
+
+
 def test_tokenizer_validation():
     vocab = Vocabulary.from_tokens(["a", "b", "ab"])
     # result missing from the vocabulary
