@@ -1,9 +1,10 @@
 """Builders for the character-to-subword machines.
 
 * the token trie by ids, and its walk against a DFA from every state: the
-  token steps that BPE promotion filters,
+  token steps that agnostic promotion keeps and BPE promotion filters,
 * the tokenization-agnostic lexicon transducer (a starred trie that maps any
-  token's character sequence to that token),
+  token's character sequence to that token): the paper's agnostic
+  construction; promotion walks the token steps, which give the same machine,
 * the greedy longest-match transducer (a trie with failure arcs that pop
   pending tokens, so every string maps to exactly its longest-match
   segmentation),
@@ -88,18 +89,11 @@ def build_lexicon_transducer(v: Vocabulary) -> Fst:
     to the root. The root is the start and the only final state, so the
     machine relates every string to every segmentation of it.
     """
-    table = v.table
-    order, children = _trie(table.tokens)
-    ids = {prefix: n for n, prefix in enumerate(order)}
-
-    arcs: list[tuple[int, int, int, int]] = []
-    for prefix in order:
-        for ch, child in children[prefix].items():
-            arcs.append((ids[prefix], table.id(ch), EPSILON, ids[child]))
-    for token in table.tokens:
-        arcs.append((ids[token], EPSILON, table.id(token), 0))
-
-    return Fst(table, len(order), 0, frozenset([0]), arcs)
+    trie = build_token_trie(v)
+    arcs = [(node, ch, EPSILON, child)
+            for node, (_, children) in enumerate(trie) for ch, child in children.items()]
+    arcs += [(node, EPSILON, token, 0) for node, (token, _) in enumerate(trie) if token is not None]
+    return Fst(v.table, len(trie), 0, frozenset([0]), arcs)
 
 
 @dataclass(frozen=True)

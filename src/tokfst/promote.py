@@ -1,25 +1,23 @@
 """Pattern promotion: lift a character-level pattern automaton to one over
 subword tokens.
 
-Each mode is one stage that builds the token-level machine as a minimal
-DFA; results are in canonical form.
+Each mode is one stage (`_stage`) that builds the token-level machine and
+minimizes it; results are in canonical form.
 
-* agnostic: compose with the lexicon transducer, then one subset
-  construction over the output side of the composition that also passes
-  over arcs emitting nothing; accepts every segmentation of every matching
-  string.
-* maxmatch: the same with the greedy longest-match transducer; accepts only
-  the longest-match segmentation of each matching string.
-* bpe: the pattern's token steps (the token trie walked from each pattern
-  state) times a bigram filter: one walk over (pattern state, class of the
-  last token's forbidden followers) keys that keeps only canonical tokens
-  and allowed pairs, then `minimize`. Accepts only the byte-pair
-  segmentation of each matching string. `promote_bpe_chained` is the
-  paper's construction, one merge gadget composed per merge, kept as its
-  cross-check.
+* agnostic: the pattern's token steps: the token trie walked against the
+  pattern DFA from each state q gives q --t--> δ*(q, t) for each token t
+  read whole (Willard and Louf, 2023). Accepts every segmentation of every
+  match, as composing with the paper's `build_lexicon_transducer` does.
+* maxmatch: compose with the greedy longest-match transducer, then one
+  subset construction over the output side that also passes over arcs
+  emitting nothing. Accepts only longest-match segmentations.
+* bpe: the token steps times a bigram filter (`_bigram_product`), which
+  agnostic runs with tables that forbid nothing. Accepts only byte-pair
+  segmentations. `promote_bpe_chained` is the paper's construction, one
+  merge gadget composed per merge, kept as its cross-check.
 
-Lexicon stages and the bigram walk are deterministic by construction, so
-no subset construction merges targets; maxmatch stages sometimes need it.
+The walk is deterministic by construction, so no subset construction
+merges targets; maxmatch stages sometimes need it.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .fst import (
     project_output,
     trim,
 )
-from .lexicon import (
+from .lexicon import (  # build_lexicon_transducer: bound for perfbench/tracing.py to patch
     build_failure_trie,
     build_lexicon_transducer,
     build_maxmatch_transducer,
@@ -50,7 +48,8 @@ from .lexicon import (
     build_token_trie,
     token_steps,
 )
-from .tokenizers import BpeTokenizer, Vocabulary, iter_segmentations, maxmatch_tokenize
+from .tokenizers import BigramTables, BpeTokenizer, Vocabulary, iter_segmentations
+from .tokenizers import maxmatch_tokenize
 
 
 class StageStats(NamedTuple):
@@ -71,14 +70,17 @@ class PromotionResult:
 def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     if a.table != v.table:
         raise AlphabetError("pattern automaton and vocabulary use different symbol tables")
+    if not isinstance(a, Dfa):
+        try:
+            a = Dfa.from_fst(a)
+        except ValueError as err:
+            raise ConfigError(f"promotion needs a deterministic acceptor: {err}") from None
     foreign = {inp for arcs in a.arcs.values() for inp, _, _ in arcs} - v.table.char_ids()
     if foreign:
         raise AlphabetError(
             f"pattern automaton uses multi-character token "
             f"{v.table.token(min(foreign))!r}; promote from characters only"
         )
-    if not isinstance(a, Dfa):
-        a = Dfa.from_fst(a)
     return trim(a)
 
 
@@ -92,35 +94,43 @@ def _vocab_machine(v: Vocabulary, label: str, build: Callable[[], object]):
     return machine
 
 
-def _composed(
-    a: Dfa, v: Vocabulary, mode: str, label: str, build: Callable[[], Fst]
+def _stage(
+    a: Dfa, v: Vocabulary, mode: str, label: str, build: Callable[[Dfa], tuple[Fst, bool]]
 ) -> PromotionResult:
-    """One stage: check the pattern, compose with the vocabulary's `label`
-    transducer, walk the output side, minimize and record, all inside the
-    clock; on an empty pattern, "empty". The vocabulary keeps the
-    transducer (`_vocab_machine`), with the index `compose` makes of it."""
+    """The one stage of every mode: check the pattern, `build` the token
+    machine and its determinism flag from it, minimize and record, all
+    inside the clock; an empty pattern builds nothing and is "empty"."""
     started = time.perf_counter()
     current = _checked_pattern(a, v)
     if current.finals:
-        walked, deterministic = _output_subsets(compose(current, _vocab_machine(v, label, build)))
+        built, deterministic = build(current)
     else:
-        label = "empty"
-        walked, deterministic = _output_subsets(current)
-    d = minimize(walked)
+        label, built, deterministic = "empty", current, True
+    d = minimize(built)
     arcs = sum(map(len, d.arcs.values()))
     st = StageStats(label, d.num_states, arcs, time.perf_counter() - started, deterministic)
     return PromotionResult(d, mode, (st,))
 
 
 def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
-    """Token-level automaton accepting every segmentation of every match."""
-    return _composed(a, v, "agnostic", "lexicon", lambda: build_lexicon_transducer(v))
+    """Token-level automaton accepting every segmentation of every match:
+    the bigram walk with every token canonical and one class that forbids
+    nothing, so its keys are (q, 0). One stage, labelled "steps"."""
+    def steps(d: Dfa) -> tuple[Dfa, bool]:
+        tokens = v.table.token_ids()
+        free = BigramTables(tokens, dict.fromkeys(tokens, 0), (frozenset(),))
+        return _bigram_product(d, v, free), True
+
+    return _stage(a, v, "agnostic", "steps", steps)
 
 
 def promote_maxmatch(a: Dfa, v: Vocabulary) -> PromotionResult:
-    """Token-level automaton accepting only longest-match segmentations."""
+    """Token-level automaton accepting only longest-match segmentations:
+    the output side of the pattern composed with the vocabulary's kept
+    longest-match transducer. One stage, labelled "maxmatch"."""
     build = lambda: build_maxmatch_transducer(build_failure_trie(v))
-    return _composed(a, v, "maxmatch", "maxmatch", build)
+    composed = lambda d: _output_subsets(compose(d, _vocab_machine(v, "maxmatch", build)))
+    return _stage(a, v, "maxmatch", "maxmatch", composed)
 
 
 def promote_bpe(
@@ -129,35 +139,26 @@ def promote_bpe(
     *,
     stage_hook: Callable[[str, Dfa], None] | None = None,
 ) -> PromotionResult:
-    """Token-level automaton accepting only byte-pair segmentations.
-
-    A token sequence is the tokenization of its text iff each token is
-    canonical and each adjacent pair is allowed (`BigramTables`). So the
-    result is the pattern read a token at a time, with the last token's
-    class of forbidden followers carried along: one walk over (pattern
-    state, class) keys, starting in class 0, which forbids nothing, then
-    `minimize`. A key steps on token t to (δ*(q, t), class of t) when t is
-    canonical and not forbidden; it is final iff its pattern state is. The
-    steps are deterministic, so no subset construction runs.
-
-    One stage, labelled "bigram" ("empty" on an empty pattern), whose clock
-    covers the whole call but the one stage_hook call after it.
-    """
-    started = time.perf_counter()
-    current = _checked_pattern(a, t.vocab)
-    label = "bigram" if current.finals else "empty"
-    if current.finals:
-        current = minimize(_bigram_product(current, t))
-    arcs = sum(map(len, current.arcs.values()))
-    st = StageStats(label, current.num_states, arcs, time.perf_counter() - started, True)
+    """Token-level automaton accepting only byte-pair segmentations: the
+    bigram walk with `t.bigram_tables`. One stage, labelled "bigram", whose
+    clock covers the whole call but the one stage_hook call after it."""
+    walk = lambda d: (_bigram_product(d, t.vocab, t.bigram_tables), True)
+    result = _stage(a, t.vocab, "bpe", "bigram", walk)
     if stage_hook is not None:
-        stage_hook(label, current)
-    return PromotionResult(current, "bpe", (st,))
+        stage_hook(result.stats[0].label, result.dfa)
+    return result
 
 
-def _bigram_product(d: Dfa, t: BpeTokenizer) -> Dfa:
-    canonical, classes, forbidden = t.bigram_tables
-    trie = _vocab_machine(t.vocab, "trie", lambda: build_token_trie(t.vocab))
+def _bigram_product(d: Dfa, v: Vocabulary, tables: BigramTables) -> Dfa:
+    """The bigram walk. A token sequence is the tokenization of its text iff
+    each token is canonical and each adjacent pair is allowed (`tables`).
+    So the walk reads `d` a token at a time over (pattern state, class of
+    the last token's forbidden followers) keys from (start, 0): a key steps
+    on t to (δ*(q, t), class of t) when t is canonical and not forbidden,
+    and is final iff its pattern state is. `d` is deterministic, so the
+    steps are too."""
+    canonical, classes, forbidden = tables
+    trie = _vocab_machine(v, "trie", lambda: build_token_trie(v))
     moves = [[(tok, tok, (dst, classes[tok])) for tok, dst in q_steps if tok in canonical]
              for q_steps in token_steps(trie, d)]
     finals = d.finals

@@ -24,8 +24,9 @@ class Vocabulary:
     """A symbol table validated for open-vocabulary use."""
 
     table: SymbolTable
-    # what promotion builds from the table alone, by name: the transducers
-    # it composes with and the token trie it walks, each built the first
+    # what promotion builds from the table alone, by name: the token trie
+    # that agnostic and bpe promotion walk ("trie") and the longest-match
+    # transducer maxmatch composes with ("maxmatch"), each built the first
     # time a promotion needs it
     _machines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -20,6 +20,7 @@ from tokfst import (
     SymbolTable,
     Transition,
     Vocabulary,
+    build_lexicon_transducer,
     build_merge_gadget,
     canonical_form,
     compose,
@@ -83,6 +84,15 @@ def enumerate_pairs(machine: Fst, max_len: int,
                 seen.add(key)
                 stack.append(key)
     return pairs
+
+
+def lexicon_promotion(a: Dfa, v: Vocabulary) -> tuple[Dfa, bool]:
+    """The paper's agnostic construction: the pattern composed with the
+    lexicon transducer, its output side walked by one subset construction,
+    then minimized. Returns the machine and whether the walk merged no
+    targets."""
+    walked, deterministic = _output_subsets(compose(a, build_lexicon_transducer(v)))
+    return minimize(walked), deterministic
 
 
 def gadget_stages(a: Dfa, tok: BpeTokenizer) -> tuple[Dfa, list[tuple[str, bool, bool]]]:

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Criteria 3-5 share seeded instance sets built once in helpers; criterion 6
-re-reads the per-stage determinism flags those runs recorded. Budgets are
+composes the paper's lexicon transducer and merge gadgets over the same
+instances and compares with the promotions those runs made. Budgets are
 asserted with the wall-clock limits the criteria state.
 """
 
@@ -33,6 +34,7 @@ from helpers import (
     bpe_instances,
     draw_until,
     gadget_stages,
+    lexicon_promotion,
     random_merge_tokenizer,
     random_pattern_dfa,
 )
@@ -156,20 +158,29 @@ def test_criterion_05_bpe_oracle_equality():
 def test_criterion_06_stage_determinism():
     """Lexicon and merge-gadget stages are deterministic before minimization.
 
-    The lexicon half holds by construction. The gadget half holds because a
-    merge gadget emits its held operand through the flush arc alone: a
-    repeated operand is flushed and then held again, so when a pattern
-    branches on the symbol after a held operand, both continuations emit
-    that operand along one arc. `promote_bpe` composes no gadget, so the
-    gadgets are composed here one merge at a time, as the paper's staged
-    construction does, and each subset construction must merge no targets;
-    the staged result must equal `promote_bpe`'s.
+    `promote_agnostic` walks the token steps and composes no lexicon
+    transducer, so the lexicon half composes it here: for each agnostic
+    instance, the subset construction over the output side of the pattern
+    composed with `build_lexicon_transducer` must merge no targets, and its
+    minimized result must equal `promote_agnostic`'s. It holds by
+    construction: the pattern is deterministic and each token's trie path
+    is one path. The gadget half holds because a merge gadget emits its
+    held operand through the flush arc alone: a repeated operand is flushed
+    and then held again, so when a pattern branches on the symbol after a
+    held operand, both continuations emit that operand along one arc.
+    `promote_bpe` composes no gadget either, so the gadgets are composed
+    here one merge at a time, as the paper's staged construction does, and
+    each subset construction must merge no targets; the staged result must
+    equal `promote_bpe`'s.
     """
-    lexicon_bad = []
-    for n, (_, _, res) in enumerate(agnostic_instances()):
-        for st in res.stats:
-            if st.label == "lexicon" and not st.deterministic_before_minimize:
-                lexicon_bad.append(n)
+    lexicon_bad, lexicon_mismatched = [], []
+    instances = agnostic_instances()
+    for n, (a, vocab, res) in enumerate(instances):
+        composed, deterministic = lexicon_promotion(a, vocab)
+        if not deterministic:
+            lexicon_bad.append(n)
+        if composed != res.dfa:
+            lexicon_mismatched.append(n)
     gadget_bad, mismatched = [], []
     live = composed = 0
     cases = [(f"random[{n}]", a, tok, res) for n, (a, tok, res) in enumerate(bpe_instances())]
@@ -184,14 +195,17 @@ def test_criterion_06_stage_determinism():
         live += sum(changed for _, changed, _ in stages)
         composed += len(stages)
         gadget_bad += [(label, stage) for stage, _, det in stages if not det]
-    ok = not lexicon_bad and not gadget_bad and not mismatched and live > 50
-    detail = (f"lexicon violations: {len(lexicon_bad)}, "
+    ok = (not lexicon_bad and not lexicon_mismatched and not gadget_bad and not mismatched
+          and live > 50)
+    detail = (f"lexicon violations: {len(lexicon_bad)} in {len(instances)} compositions, "
+              f"{len(lexicon_mismatched)} results unlike promote_agnostic's, "
               f"merge-gadget violations: {len(gadget_bad)} in {composed} stages, {live} live, "
               f"{len(mismatched)} results unlike promote_bpe's")
     if gadget_bad:
         detail += f" (e.g. {gadget_bad[:3]})"
     verdict(6, ok, detail)
-    assert not lexicon_bad
+    assert len(instances) == 100
+    assert not lexicon_bad and not lexicon_mismatched, (lexicon_bad[:5], lexicon_mismatched[:5])
     assert live > 50 and not mismatched, mismatched[:5]
     assert not gadget_bad, (
         f"{len(gadget_bad)} merge-gadget intermediates required subset "

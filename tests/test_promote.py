@@ -16,11 +16,13 @@ import tokfst.fst
 import tokfst.promote
 import tokfst.tokenizers
 from tokfst import (
+    EPSILON,
     AlphabetError,
     BpeTokenizer,
     ConfigError,
     Dfa,
     EnumerationError,
+    Fst,
     StubLM,
     SymbolTable,
     Transition,
@@ -39,15 +41,17 @@ from tokfst import (
     promote_bpe_chained,
     promote_maxmatch,
 )
-from tokfst.lexicon import build_failure_trie, build_lexicon_transducer, build_maxmatch_transducer
+from tokfst.lexicon import build_failure_trie, build_maxmatch_transducer, build_token_trie
 from tokfst.promote import expected_promotion
 
 from helpers import (
     draw_until,
     gadget_stages,
+    lexicon_promotion,
     random_merge_tokenizer,
     random_pattern_dfa,
     random_pattern_text,
+    random_vocab,
 )
 
 FIG4 = Vocabulary.from_tokens(["a", "b", "c", "ab", "abc", "bc"])
@@ -82,7 +86,7 @@ def test_agnostic_single_string_accepts_all_segmentations():
     assert accepts(r.dfa, table.ids(["ab", "a", "a", "bc", "c"]))
     assert not accepts(r.dfa, table.ids(["ab", "ab", "c", "c"]))  # spells abab..., wrong string
     assert r.mode == "agnostic"
-    assert [s.label for s in r.stats] == ["lexicon"]
+    assert [s.label for s in r.stats] == ["steps"]
     assert r.stats[0].deterministic_before_minimize
 
 
@@ -112,6 +116,38 @@ def test_agnostic_of_empty_language():
     r = promote_agnostic(a, vocab)
     assert enumerate_language(r.dfa, 6) == set()
     assert [s.label for s in r.stats] == ["empty"]
+
+
+def test_agnostic_steps_equal_the_lexicon_composition():
+    # the paper's construction, composed with the lexicon transducer and
+    # minimized, gives the same machine as the token-step walk
+    rng = random.Random(1818)
+    for n in range(3000):
+        chars = "".join(sorted(rng.sample("abcd", rng.randint(1, 4))))
+        vocab = random_vocab(rng, chars, rng.randint(0, 8))
+        if n % 2:
+            a = compile_pattern(random_pattern_text(rng, chars, 3), vocab.table)
+        else:
+            a = draw_until(lambda: random_pattern_dfa(rng, vocab.table, max_states=7,
+                                                      max_strings=10**6, max_chars=6))
+        composed, deterministic = lexicon_promotion(a, vocab)
+        r = promote_agnostic(a, vocab)
+        assert r.dfa == composed, (n, chars, vocab.table.tokens)
+        assert deterministic and r.stats[0].deterministic_before_minimize
+
+
+def test_agnostic_composes_nothing(monkeypatch):
+    cases = [(compile_pattern(p, v.table), v)
+             for p, v in [("abaabcc", FIG4), ("(ab|c)+", FIG4), ("(a|b)*", FIG6),
+                          ("a[^ab]", FIG6), ("race(car)?", RACE)]]
+    before = [promote_agnostic(a, v).dfa for a, v in cases]
+    for name in ("build_lexicon_transducer", "compose", "_output_subsets"):
+        monkeypatch.setattr(tokfst.promote, name,
+                            lambda *_, name=name: pytest.fail(f"agnostic called {name}"))
+    fresh = [(a, Vocabulary(v.table)) for a, v in cases]  # no kept machines
+    assert [promote_agnostic(a, v).dfa for a, v in fresh] == before
+    assert [promote_agnostic(a, v).stats[0].label for a, v in cases] == [
+        "steps", "steps", "steps", "empty", "steps"]
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +465,7 @@ def test_operations_build_no_transition_records(monkeypatch):
 
 def _counting_builders(monkeypatch):
     built = []
-    for name in ("build_lexicon_transducer", "build_failure_trie", "build_maxmatch_transducer"):
+    for name in ("build_token_trie", "build_failure_trie", "build_maxmatch_transducer"):
         def counted(arg, name=name, build=getattr(tokfst.promote, name)):
             built.append(name)
             return build(arg)
@@ -437,65 +473,80 @@ def _counting_builders(monkeypatch):
     return built
 
 
+def _fresh(tok):
+    return BpeTokenizer.from_token_pairs(Vocabulary.from_tokens(tok.vocab.table.tokens),
+                                         tok.merge_tokens())
+
+
+def _promote_all(a, tok):
+    return [promote_agnostic(a, tok.vocab), promote_maxmatch(a, tok.vocab), promote_bpe(a, tok)]
+
+
 def test_each_vocabulary_builds_its_transducers_once(monkeypatch):
+    # agnostic and bpe walk the same token trie, maxmatch composes with the
+    # longest-match transducer; the vocabulary keeps both
     built = _counting_builders(monkeypatch)
-    vocab = Vocabulary.from_tokens(FIG4.table.tokens)
-    # an empty pattern composes with nothing, so it builds nothing
-    for promote in (promote_agnostic, promote_maxmatch):
-        assert promote(compile_pattern("a[^abc]", vocab.table), vocab).stats[0].label == "empty"
+    tok = _fresh(SECT52)
+    # an empty pattern builds nothing
+    assert {r.stats[0].label for r in _promote_all(compile_pattern("a[^abc]", tok.vocab.table),
+                                                   tok)} == {"empty"}
     assert built == []
     for pattern in ("abaabcc", "(ab|c)+", "a?b", "(a|b|c)*", "c"):
-        a = compile_pattern(pattern, vocab.table)
-        promote_agnostic(a, vocab)
-        promote_maxmatch(a, vocab)
-    assert sorted(built) == ["build_failure_trie", "build_lexicon_transducer",
-                             "build_maxmatch_transducer"]
+        _promote_all(compile_pattern(pattern, tok.vocab.table), tok)
+    assert sorted(built) == ["build_failure_trie", "build_maxmatch_transducer",
+                             "build_token_trie"]
     # the machines belong to the vocabulary object: an equal one builds its own
     built.clear()
-    again = Vocabulary.from_tokens(FIG4.table.tokens)
-    a = compile_pattern("abc", again.table)
+    again = _fresh(SECT52)
+    a = compile_pattern("abc", again.vocab.table)
     for _ in range(3):
-        promote_agnostic(a, again)
-        promote_maxmatch(a, again)
+        _promote_all(a, again)
     assert len(built) == 3
 
 
+def _trie_snapshot(trie):
+    return [(token, dict(children)) for token, children in trie]
+
+
 def test_promotions_leave_the_cached_transducers_as_built():
-    vocab = Vocabulary.from_tokens(["a", "b", "c", "d", "ab", "abc", "bc", "cd", "dd", "bcd"])
-    a = compile_pattern("abcd", vocab.table)
-    promote_agnostic(a, vocab)
-    promote_maxmatch(a, vocab)
+    tok = BpeTokenizer.from_token_pairs(
+        Vocabulary.from_tokens(["a", "b", "c", "d", "ab", "abc", "bc", "cd", "dd", "bcd"]),
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "d"), ("ab", "c"), ("b", "cd")])
+    vocab = tok.vocab
+    _promote_all(compile_pattern("abcd", vocab.table), tok)
     machines = dict(vocab._machines)
-    assert sorted(machines) == ["lexicon", "maxmatch"]
-    snapshot = {label: (dict(m.arcs), {q: dict(moves) for q, moves in m._moves.items()})
-                for label, m in machines.items()}
+    assert sorted(machines) == ["maxmatch", "trie"]
+    m = machines["maxmatch"]
+    snapshot = (dict(m.arcs), {q: dict(moves) for q, moves in m._moves.items()},
+                _trie_snapshot(machines["trie"]))
     rng = random.Random(1616)
     for _ in range(40):
         pattern = draw_until(lambda: random_pattern_dfa(rng, vocab.table, max_states=6))
-        warm = promote_agnostic(pattern, vocab), promote_maxmatch(pattern, vocab)
-        fresh = Vocabulary(vocab.table)
-        cold = promote_agnostic(pattern, fresh), promote_maxmatch(pattern, fresh)
+        warm = _promote_all(pattern, tok)
+        cold = _promote_all(pattern, BpeTokenizer(Vocabulary(vocab.table), tok.merges))
         assert [canonical_form(r.dfa) for r in warm] == [canonical_form(r.dfa) for r in cold]
         assert [r.stats[0][:2] for r in warm] == [r.stats[0][:2] for r in cold]
     assert vocab._machines == machines
-    for label, m in machines.items():
-        assert vocab._machines[label] is m
-        assert (dict(m.arcs), {q: dict(moves) for q, moves in m._moves.items()}) == snapshot[label]
-    assert machines["lexicon"] == build_lexicon_transducer(vocab)
-    assert machines["maxmatch"] == build_maxmatch_transducer(build_failure_trie(vocab))
+    for label, kept in machines.items():
+        assert vocab._machines[label] is kept
+    assert (dict(m.arcs), {q: dict(moves) for q, moves in m._moves.items()},
+            _trie_snapshot(machines["trie"])) == snapshot
+    assert machines["trie"] == build_token_trie(vocab)
+    assert m == build_maxmatch_transducer(build_failure_trie(vocab))
 
 
 def test_cached_transducers_do_not_keep_a_vocabulary_alive():
-    vocab = Vocabulary.from_tokens(["x", "y", "xy", "yx"])
-    a = compile_pattern("(xy)*", vocab.table)
-    results = [promote_agnostic(a, vocab), promote_maxmatch(a, vocab)]
-    ref = weakref.ref(vocab)
-    machines = [weakref.ref(m) for m in vocab._machines.values()]
-    assert len(machines) == 2
-    del vocab
+    tok = BpeTokenizer.from_token_pairs(Vocabulary.from_tokens(["x", "y", "xy", "yx"]),
+                                        [("x", "y"), ("y", "x")])
+    results = _promote_all(compile_pattern("(xy)*", tok.vocab.table), tok)
+    vocab = tok.vocab
+    assert sorted(vocab._machines) == ["maxmatch", "trie"]
+    # the trie is a tuple, which takes no weak reference: the vocabulary
+    # going is what frees it
+    refs = weakref.ref(vocab), weakref.ref(vocab._machines["maxmatch"])
+    del tok, vocab
     gc.collect()
-    assert ref() is None
-    assert [m() for m in machines] == [None, None]
+    assert [ref() for ref in refs] == [None, None]
     assert all(r.dfa.finals for r in results)
 
 
@@ -508,6 +559,30 @@ def test_promotion_rejects_a_foreign_table():
     other = Vocabulary.from_tokens(["a", "b"])
     with pytest.raises(AlphabetError):
         promote_agnostic(a, other)
+
+
+def test_promotion_rejects_patterns_that_are_not_deterministic_acceptors():
+    table = SECT52.vocab.table
+    a_, b_ = table.id("a"), table.id("b")
+    shapes = {
+        "transducer": [(0, a_, b_, 1)],
+        "nondeterministic": [(0, a_, a_, 1), (0, a_, a_, 0)],
+        "epsilon output": [(0, a_, EPSILON, 1)],
+        "epsilon arc": [(0, EPSILON, EPSILON, 1)],
+    }
+    promotions = [lambda a: promote_agnostic(a, SECT52.vocab),
+                  lambda a: promote_maxmatch(a, SECT52.vocab),
+                  lambda a: promote_bpe(a, SECT52),
+                  lambda a: promote_bpe_chained(a, SECT52)]
+    for shape, arcs in shapes.items():
+        a = Fst(table, 2, 0, frozenset({1}), [Transition(*arc) for arc in arcs])
+        for promote in promotions:
+            with pytest.raises(ConfigError, match="needs a deterministic acceptor"):
+                promote(a)
+    # an `Fst` that is a deterministic acceptor is promoted as its `Dfa`
+    line = Fst(table, 3, 0, frozenset({2}), [Transition(0, a_, a_, 1), Transition(1, b_, b_, 2)])
+    for promote in promotions[:3]:
+        assert promote(line).dfa == promote(Dfa.from_fst(line)).dfa
 
 
 def test_promotion_rejects_token_level_patterns():
