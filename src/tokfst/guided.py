@@ -96,12 +96,15 @@ def constrained_decode(
     At every step the scorer ranks the allowed tokens; at terminable states
     an end-of-sequence score competes with them and stops decoding when it
     wins (or when nothing may follow). Hitting max_steps anywhere else is an
-    error carrying the prefix generated so far.
+    error carrying the prefix generated so far; a negative max_steps is a
+    ConfigError.
 
     retokenize_with enables the stop-detokenize-retokenize mitigation: after
     every step the prefix is replaced by its canonical tokenization, replayed
     through the automaton.
     """
+    if max_steps < 0:
+        raise ConfigError(f"max_steps must not be negative, got {max_steps}")
     state = constraint_begin(d)
     out: list[int] = []
     for _ in range(max_steps):

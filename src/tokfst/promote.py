@@ -234,18 +234,21 @@ def language_by_chars(
     return out
 
 
-def _check_oracle_mode(mode: str, tokenizer: BpeTokenizer | None) -> None:
+def _check_oracle_mode(mode: str, v: Vocabulary, tokenizer: BpeTokenizer | None) -> None:
     if mode not in ("agnostic", "maxmatch", "bpe"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "bpe" and tokenizer is None:
-        raise ConfigError("bpe mode needs a tokenizer")
+    if mode == "bpe":
+        if tokenizer is None:
+            raise ConfigError("bpe mode needs a tokenizer")
+        if tokenizer.vocab != v:
+            raise ConfigError("the tokenizer is over another vocabulary")
 
 
 def expected_promotion(
     a: Dfa, v: Vocabulary, mode: str, max_chars: int, tokenizer: BpeTokenizer | None = None
 ) -> set[tuple[int, ...]]:
     """The reference answer, computed without any transducer machinery."""
-    _check_oracle_mode(mode, tokenizer)
+    _check_oracle_mode(mode, v, tokenizer)
     strings = {
         v.decode(seq) for seq in enumerate_language(a, max_chars)
     }
@@ -271,7 +274,7 @@ def check_promotion(
     bound. Returns None when the languages agree, otherwise the first
     counterexample as ("missing" | "unexpected", token sequence).
     """
-    _check_oracle_mode(mode, tokenizer)
+    _check_oracle_mode(mode, v, tokenizer)
     if mode == "agnostic":
         result = promote_agnostic(a, v)
     elif mode == "maxmatch":

@@ -13,6 +13,7 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AlphabetError, ConfigError
@@ -85,16 +86,22 @@ def apply_merge(seq: tuple[int, ...], merge: tuple[int, int], table: SymbolTable
     applied to `a a a` gives `aa a`.
     """
     x, y = merge
-    merged = table.id(table.token(x) + table.token(y))
+    return _merge_pass(seq, x, y, table.id(table.token(x) + table.token(y)))
+
+
+def _merge_pass(seq: tuple[int, ...], x: int, y: int, merged: int) -> tuple[int, ...]:
+    """`apply_merge` with the merged token's id already known."""
     out: list[int] = []
     i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and seq[i] == x and seq[i + 1] == y:
+    last = len(seq) - 1
+    while i < last:
+        if seq[i] == x and seq[i + 1] == y:
             out.append(merged)
             i += 2
         else:
             out.append(seq[i])
             i += 1
+    out.extend(seq[i:])
     return tuple(out)
 
 
@@ -179,6 +186,8 @@ class BpeTokenizer:
 
     vocab: Vocabulary
     merges: tuple[tuple[int, int], ...]
+    # merge pair -> (rank, result id), the lookup `tokenize` makes per pair
+    _ranked: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -188,6 +197,7 @@ class BpeTokenizer:
         table = self.vocab.table
         available = set(table.char_ids())
         produced: set[int] = set()
+        ranked: dict[tuple[int, int], tuple[int, int]] = {}
         for n, merge in enumerate(self.merges):
             if len(merge) != 2 or any(type(i) is not int for i in merge):
                 raise ConfigError(f"merge {n} is not a pair of token ids: {merge!r}")
@@ -208,10 +218,12 @@ class BpeTokenizer:
                 raise ConfigError(f"two merges produce the same token {combined!r}")
             produced.add(result)
             available.add(result)
+            ranked[merge] = (n, result)
         uncovered = set(table.token_ids()) - set(table.char_ids()) - produced
         if uncovered:
             token = table.token(min(uncovered))
             raise ConfigError(f"token {token!r} is not produced by any merge")
+        object.__setattr__(self, "_ranked", ranked)
 
     @classmethod
     def from_token_pairs(
@@ -233,12 +245,27 @@ class BpeTokenizer:
         return tuple((table.token(x), table.token(y)) for x, y in self.merges)
 
     def tokenize(self, text: str) -> tuple[int, ...]:
-        """Apply the merge list in order, one full pass per merge whose left
-        operand occurs in the sequence; the others cannot act."""
+        """Apply the merges by rank: each round looks up every adjacent pair,
+        takes the one of lowest rank and merges all its occurrences in one
+        left-to-right pass, until no adjacent pair is a merge.
+
+        This equals applying the whole list in order, one pass per merge
+        (Berglund and van der Merwe, "Formalizing BPE Tokenization", 2023).
+        A round's pass leaves no pair of its rank r behind, and the pairs it
+        creates hold its result, whose merges all rank above r, since a merge
+        uses only tokens made before it. So the ranks of the rounds rise as
+        the list does, each round is the list's pass for its merge, and every
+        merge ranked between two rounds finds no pair to act on.
+        """
         seq = self.vocab.encode_chars(text)
-        for merge in self.merges:
-            if merge[0] in seq:
-                seq = apply_merge(seq, merge, self.vocab.table)
+        lookup = self._ranked.get
+        absent = (len(self.merges), -1)  # for a pair that is no merge
+        while len(seq) > 1:
+            rank, merged = min(map(lookup, zip(seq, seq[1:]), repeat(absent)))
+            if merged < 0:
+                break
+            x, y = self.merges[rank]
+            seq = _merge_pass(seq, x, y, merged)
         return seq
 
     def tokenize_incremental(self, text: str) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from tokfst import (
     SymbolTable,
     Transition,
     Vocabulary,
+    apply_merge,
     build_lexicon_transducer,
     build_merge_gadget,
     canonical_form,
@@ -196,6 +197,15 @@ def random_merge_tokenizer(rng: random.Random, chars: str, k: int) -> BpeTokeniz
         merges.append((x, y))
     vocab = Vocabulary.from_tokens(tokens)
     return BpeTokenizer.from_token_pairs(vocab, merges)
+
+
+def merge_list_pass(tok: BpeTokenizer, text: str) -> tuple[int, ...]:
+    """The merge list applied in order, one `apply_merge` pass per merge:
+    the definition that `tokenize` computes by rank."""
+    seq = tok.vocab.encode_chars(text)
+    for merge in tok.merges:
+        seq = apply_merge(seq, merge, tok.vocab.table)
+    return seq
 
 
 def random_pattern_dfa(rng: random.Random, table: SymbolTable, *,

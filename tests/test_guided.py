@@ -258,3 +258,9 @@ def test_decode_step_budget():
     with pytest.raises(IncompleteGenerationError) as info:
         constrained_decode(StubLM(0), d, max_steps=1)
     assert names(info.value.prefix) == ["race"]
+    # a negative budget is refused before the first step, also where the
+    # start is terminable
+    terminable = promote_maxmatch(compile_pattern("(race)*", RACE.table), RACE).dfa
+    for machine in (d, terminable):
+        with pytest.raises(ConfigError):
+            constrained_decode(StubLM(0), machine, max_steps=-3)

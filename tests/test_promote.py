@@ -616,3 +616,14 @@ def test_check_promotion_modes_validate():
             expected_promotion(a, FIG4, "bpe", max_chars)
         with pytest.raises(ConfigError):
             expected_promotion(a, FIG4, "sideways", max_chars)
+    # a tokenizer over another vocabulary is refused before any work
+    v = Vocabulary.from_tokens(["a", "b", "ab"])
+    tok = BpeTokenizer.from_token_pairs(v, [("a", "b")])
+    other = Vocabulary.from_tokens(["b", "a", "ba"])
+    a = compile_pattern("ab(ab)*", v.table)
+    assert check_promotion(a, v, "bpe", 6, tok) is None
+    for max_chars in (6, 0):
+        with pytest.raises(ConfigError):
+            check_promotion(a, other, "bpe", max_chars, tok)
+        with pytest.raises(ConfigError):
+            expected_promotion(a, other, "bpe", max_chars, tok)

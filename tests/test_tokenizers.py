@@ -17,7 +17,7 @@ from tokfst import (
     maxmatch_tokenize,
 )
 
-from helpers import random_merge_tokenizer, random_vocab
+from helpers import merge_list_pass, random_merge_tokenizer, random_vocab
 
 BANANAS = Vocabulary.from_tokens(["a", "b", "n", "s", "ba", "na", "ban", "bana"])
 ABAB = Vocabulary.from_tokens(["a", "b", "ab", "aba"])
@@ -104,10 +104,10 @@ def test_bpe_algorithms_agree_randomized():
         chars = "".join(sorted(rng.sample("abcd", rng.randint(2, 4))))
         tok = random_merge_tokenizer(rng, chars, rng.randint(0, 12))
         text = "".join(rng.choice(chars) for _ in range(rng.randint(0, 20)))
-        assert tok.tokenize(text) == tok.tokenize_incremental(text)
-    # `tokenize` passes over a merge whose left operand is absent; these texts
-    # hold left operands with and without their right operand after them,
-    # and one-character alphabets make self-pairs like (a, a) common
+        assert tok.tokenize(text) == tok.tokenize_incremental(text) == merge_list_pass(tok, text)
+    # the pass skips a merge whose pair is absent; these texts hold left
+    # operands with and without their right operand after them, and
+    # one-character alphabets make self-pairs like (a, a) common
     rng = random.Random(4099)
     self_pairs = 0
     for _ in range(300):
@@ -124,11 +124,44 @@ def test_bpe_algorithms_agree_randomized():
                 pieces.append(x + y)
         rng.shuffle(pieces)
         text = "".join(pieces) + "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))
-        every_merge = tok.vocab.encode_chars(text)
-        for merge in tok.merges:
-            every_merge = apply_merge(every_merge, merge, table)
-        assert tok.tokenize(text) == tok.tokenize_incremental(text) == every_merge, text
+        assert tok.tokenize(text) == tok.tokenize_incremental(text) == merge_list_pass(tok, text), text
     assert self_pairs > 50
+
+
+def test_bpe_rank_table():
+    """`tokenize` reads a table of (rank, result id) by merge pair that the
+    tokenizer builds once, and that leaves equality, hashing and repr alone."""
+    table = SECT52.vocab.table
+    ranked = SECT52._ranked
+    assert ranked == {m: (n, table.id(table.token(m[0]) + table.token(m[1])))
+                      for n, m in enumerate(SECT52.merges)}
+    twin = BpeTokenizer(SECT52.vocab, SECT52.merges)
+    assert twin == SECT52 and hash(twin) == hash(SECT52) and repr(twin) == repr(SECT52)
+    SECT52.tokenize("bcababcc")
+    assert SECT52._ranked is ranked
+    assert twin == SECT52 and hash(twin) == hash(SECT52) and repr(twin) == repr(SECT52)
+    assert "_ranked" not in repr(SECT52)
+    with pytest.raises(AlphabetError) as ranked_error:
+        SECT52.tokenize("abz")
+    with pytest.raises(AlphabetError) as reference_error:
+        SECT52.tokenize_incremental("abz")
+    assert str(ranked_error.value) == str(reference_error.value)
+
+    # a long text over a long list: tokens up to 10 characters, 400 merges
+    rng = random.Random(5000)
+    tokens, pairs = list("abc"), []
+    while len(pairs) < 400:
+        x, y = rng.choice(tokens), rng.choice(tokens)
+        if x + y not in tokens and len(x + y) <= 10:
+            tokens.append(x + y)
+            pairs.append((x, y))
+    assert sum(x == y for x, y in pairs) > 5
+    tok = BpeTokenizer.from_token_pairs(Vocabulary.from_tokens(tokens), pairs)
+    text = ""
+    while len(text) < 5000:
+        text += rng.choice(tokens)
+    text = text[:5000]
+    assert tok.tokenize(text) == merge_list_pass(tok, text)
 
 
 def test_bpe_output_is_a_fixed_point():

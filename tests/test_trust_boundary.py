@@ -5,6 +5,7 @@ line turns every input into an exit code."""
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tokfst import (
+    AlphabetError,
     BpeTokenizer,
     ConfigError,
     Dfa,
@@ -32,6 +34,8 @@ from tokfst import (
     trim,
 )
 from tokfst.cli import main
+
+from helpers import random_merge_tokenizer
 
 TABLE = SymbolTable(["a", "b"])
 FUZZ = settings(
@@ -165,6 +169,28 @@ def test_malformed_merges_are_config_errors():
     for pairs in ([("a",)], [("a", "b", "ab")], [("a", ["b"])], [5], 5):
         with pytest.raises(ConfigError):
             BpeTokenizer.from_token_pairs(VOCAB, pairs)
+
+
+# random merge lists over one to three characters; text made of their tokens,
+# sometimes with one character from outside the alphabet
+@FUZZ
+@given(st.integers(0, 2**32), st.sampled_from(["a", "ab", "abc"]), st.integers(0, 40),
+       st.lists(st.integers(0, 2**16), max_size=16),
+       st.none() | st.tuples(st.integers(0, 80), st.sampled_from("zé")))
+def test_bpe_tokenize_raises_only_alphabet_errors(seed, chars, k, pieces, foreign):
+    tok = random_merge_tokenizer(random.Random(seed), chars, k)
+    tokens = tok.vocab.table.tokens
+    text = "".join(tokens[p % len(tokens)] for p in pieces)
+    if foreign is not None:
+        at, ch = foreign
+        text = text[:at] + ch + text[at:]
+    try:
+        ids = tok.tokenize(text)
+    except AlphabetError:
+        assert foreign is not None
+        return
+    assert tok.vocab.decode(ids) == text
+    assert ids == tok.tokenize_incremental(text)
 
 
 files = st.sampled_from(["vocab.txt", "merges.txt", "m.json", "missing.txt", "."])
