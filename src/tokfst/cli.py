@@ -41,7 +41,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true", help="print one line per promotion stage")
 
     p = sub.add_parser("tokenize", help="run a tokenizer on a string")
-    p.add_argument("--mode", required=True, choices=("maxmatch", "bpe", "bpe-iterative"))
+    p.add_argument("--mode", required=True, choices=("maxmatch", "bpe"))
     p.add_argument("--vocab", required=True)
     p.add_argument("--merges")
     p.add_argument("--input", required=True)
@@ -101,11 +101,7 @@ def _cmd_tokenize(args, parser) -> int:
     if args.mode == "maxmatch":
         ids = maxmatch_tokenize(args.input, vocab)
     else:
-        tokenizer = _tokenizer_for(args, parser, vocab)
-        if args.mode == "bpe":
-            ids = tokenizer.tokenize(args.input)
-        else:
-            ids = tokenizer.tokenize_incremental(args.input)
+        ids = _tokenizer_for(args, parser, vocab).tokenize(args.input)
     print(" ".join(vocab.table.token(i) for i in ids))
     return 0
 

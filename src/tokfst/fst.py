@@ -473,6 +473,8 @@ def enumerate_language(
     """
     if max_len < 0:
         raise ConfigError(f"max_len must not be negative, got {max_len}")
+    if max_paths < 0:
+        raise ConfigError(f"max_paths must not be negative, got {max_paths}")
     a = _failure_free(a)
     results: set[tuple[int, ...]] = set()
     start = frozenset(_reach([a.start], a._eps_next))

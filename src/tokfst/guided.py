@@ -21,6 +21,7 @@ from .errors import (
     IncompleteGenerationError,
 )
 from .fst import Dfa, trim
+from .symbols import RESERVED
 
 END_OF_SEQUENCE = -1  # score-only sentinel, never a real symbol id
 
@@ -52,8 +53,10 @@ def constraint_advance(s: ConstraintState, token: int) -> ConstraintState:
     for inp, _, dst in s.dfa.arcs.get(s.state, ()):
         if inp == token:
             return ConstraintState(s.dfa, dst)
+    table = s.dfa.table
+    named = type(token) is int and 0 <= token < RESERVED + len(table)  # display renders it
     raise ConstraintViolationError(
-        f"token {s.dfa.table.display(token)} is not allowed here"
+        f"token {table.display(token) if named else repr(token)} is not allowed here"
     )
 
 

@@ -212,6 +212,8 @@ def language_by_chars(
     """
     if max_chars < 0:
         raise ConfigError(f"max_chars must not be negative, got {max_chars}")
+    if max_paths < 0:
+        raise ConfigError(f"max_paths must not be negative, got {max_paths}")
     table = v.table
     out: set[tuple[int, ...]] = set()
     stack: list[tuple[int, int, tuple[int, ...]]] = [(d.start, 0, ())]

@@ -284,50 +284,47 @@ class BpeTokenizer:
 def bpe_train(corpus: Iterable[str], steps: int) -> BpeTokenizer:
     """Learn a merge list of at most `steps` merges from example strings.
 
-    Every round counts adjacent token pairs across the corpus (weighted by
-    word frequency) and merges the most frequent pair whose concatenation is
-    not already a token; ties break toward the pair whose first occurrence in
-    corpus order comes earliest. Stops early with a warning when no pair is
-    left to merge.
+    Words stay tuples of token strings, weighted by count. Each round merges
+    the most frequent adjacent pair in every word with `tokenize`'s pass;
+    ties go to the pair seen first in corpus order. Stops early with a
+    warning when no pair is left. One vocabulary is built at the end.
+
+    No pair is skipped for joining to an earlier token, as none does. A pair
+    counted in round r is adjacent in some word's tokenization by the first
+    r merges, so by bigram locality (Berglund and van der Merwe, 2023;
+    Vieira et al., 2025) its text tokenizes to exactly that pair. Each
+    earlier token was made from such a pair and is its own tokenization, so
+    none is that text. The guard is `BpeTokenizer`'s "two merges produce the
+    same token" check, which a repeat reaches as the table keeps one copy.
     """
-    words: Counter[str] = Counter()
-    order: list[str] = []
+    if type(steps) is not int or steps < 0:
+        raise ConfigError(f"steps must be a non-negative int, got {steps!r}")
+    words: Counter[str] = Counter()  # insertion order is first-seen order
     for w in corpus:
-        if w not in words:
-            order.append(w)
+        if not isinstance(w, str):
+            raise ConfigError(f"corpus items must be strings, got {w!r}")
         words[w] += 1
-    chars = sorted({ch for w in order for ch in w})
+    chars = sorted({ch for w in words for ch in w})
     if not chars:
         raise ConfigError("cannot train on an empty corpus")
-    tokens: list[str] = list(chars)
-    vocab = Vocabulary.from_tokens(tokens)
-    # token ids stay stable as the vocabulary grows (appends only), so the
-    # tokenized corpus carries over between rounds
-    seqs = {w: vocab.encode_chars(w) for w in order}
+    seqs = [(tuple(w), n) for w, n in words.items()]
     merges: list[tuple[str, str]] = []
-
     for _ in range(steps):
         # filled in corpus order, so `max` meets tied pairs in first-seen order
-        counts: Counter[tuple[int, int]] = Counter()
-        for w in order:
-            for pair in zip(seqs[w], seqs[w][1:]):
-                joined = vocab.table.token(pair[0]) + vocab.table.token(pair[1])
-                if joined in vocab.table:
-                    continue
-                counts[pair] += words[w]
+        counts: Counter[tuple[str, str]] = Counter()
+        for s, n in seqs:
+            for pair in zip(s, s[1:]):
+                counts[pair] += n
         if not counts:
             warnings.warn(
                 f"stopping after {len(merges)} merges: no pair left to merge",
                 stacklevel=2,
             )
             break
-        best = max(counts, key=counts.__getitem__)
-        x, y = (vocab.table.token(i) for i in best)
-        tokens.append(x + y)
-        vocab = Vocabulary.from_tokens(tokens)
+        x, y = max(counts, key=counts.__getitem__)
         merges.append((x, y))
-        seqs = {w: apply_merge(seqs[w], best, vocab.table) for w in order}
-
+        seqs = [(_merge_pass(s, x, y, x + y) if x in s else s, n) for s, n in seqs]
+    vocab = Vocabulary.from_tokens(dict.fromkeys(chars + [x + y for x, y in merges]))
     return BpeTokenizer.from_token_pairs(vocab, merges)
 
 

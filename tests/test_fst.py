@@ -420,6 +420,8 @@ def test_enumeration_budget():
     for machine in (star, line_dfa(AB, (A, B))):
         with pytest.raises(ConfigError):
             enumerate_language(machine, -1)
+        with pytest.raises(ConfigError, match="max_paths must not be negative"):
+            enumerate_language(machine, 4, max_paths=-1)
 
 
 def test_determinize_requires_clean_acceptor():

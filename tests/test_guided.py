@@ -68,8 +68,16 @@ def test_agnostic_mask_offers_more_than_one_opening():
 
 def test_advance_rejects_disallowed_tokens():
     state = constraint_begin(race_dfa("maxmatch"))
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(ConstraintViolationError, match="^token ce is not allowed here$"):
         constraint_advance(state, RACE.table.id("ce"))
+    # a value that names no token is refused the same way, shown by its repr
+    for token, shown in ((99999, "99999"), (-1, "-1"), ("a", "'a'"), (2.0, "2.0"),
+                         (True, "True"), (None, "None")):
+        with pytest.raises(ConstraintViolationError) as info:
+            constraint_advance(state, token)
+        assert str(info.value) == f"token {shown} is not allowed here"
+    with pytest.raises(ConstraintViolationError, match="^token φ is not allowed here$"):
+        constraint_advance(state, 1)
 
 
 def test_every_allowed_token_keeps_the_constraint_alive():

@@ -602,6 +602,8 @@ def test_language_by_chars_budget_and_bound():
         language_by_chars(r.dfa, FIG6, 40, max_paths=50)
     with pytest.raises(ConfigError):
         language_by_chars(r.dfa, FIG6, -1)
+    with pytest.raises(ConfigError, match="max_paths must not be negative"):
+        language_by_chars(r.dfa, FIG6, 4, max_paths=-1)
 
 
 def test_check_promotion_modes_validate():

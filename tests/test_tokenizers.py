@@ -1,5 +1,6 @@
 """Tokenizer goldens and algorithm-equivalence properties."""
 
+import hashlib
 import random
 import warnings
 
@@ -288,18 +289,61 @@ def test_train_stops_early_when_nothing_is_left():
 
 
 def test_train_output_tokenizes_its_own_corpus():
+    # every trained token is its own tokenization, and no two merges make
+    # one token (`BpeTokenizer` refuses that), though training skips no pair
     rng = random.Random(5)
-    for _ in range(40):
-        chars = "".join(sorted(rng.sample("abc", rng.randint(2, 3))))
+    for _ in range(2000):
+        chars = "".join(sorted(rng.sample("abcd", rng.randint(1, 4))))
         corpus = ["".join(rng.choice(chars) for _ in range(rng.randint(1, 10)))
                   for _ in range(rng.randint(1, 6))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tok = bpe_train(corpus, rng.randint(1, 6))
+            tok = bpe_train(corpus, rng.randint(1, 8))
         for word in corpus:
             out = tok.tokenize(word)
             assert tok.vocab.decode(out) == word
             assert not set(zip(out, out[1:])) & set(tok.merges)
+        for x, y in tok.merge_tokens():
+            assert words(tok.vocab, tok.tokenize(x + y)) == [x + y]
+
+
+def identifiers(seed, n):
+    """`n` snake_case identifiers of one to three parts, some with a digit."""
+    rng = random.Random(seed)
+    parts = ("get set user name id data file path max min count item list key "
+             "value node tmp x y").split()
+    out = []
+    for _ in range(n):
+        ident = "_".join(rng.choice(parts) for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.2:
+            ident += str(rng.randrange(10))
+        out.append(ident)
+    return out
+
+
+def test_train_output_is_pinned():
+    # the SHA-256 of the merge file that training gave when it still built
+    # a vocabulary per round and skipped pairs joining to a token
+    corpus = identifiers(7, 1200)
+    tok = bpe_train(corpus, 100)
+    merges = "".join(f"{x} {y}\n" for x, y in tok.merge_tokens())
+    assert hashlib.sha256(merges.encode()).hexdigest() == (
+        "b08be8f56ce2e89c98a9158e04d46f36c8b8372aec120b8753754b117675a1dc")
+    chars = sorted(set("".join(corpus)))
+    assert tok.vocab.table.tokens == tuple(chars + [x + y for x, y in tok.merge_tokens()])
+
+
+def test_train_rejects_bad_input():
+    for steps in (-1, 1.5, "3", None, True):
+        with pytest.raises(ConfigError, match="steps must be a non-negative int"):
+            bpe_train(["ab"], steps)
+    for corpus in ([1, 2], ["ab", b"ab"], [["a", "b"]], [None]):
+        with pytest.raises(ConfigError, match="corpus items must be strings"):
+            bpe_train(corpus, 1)
+    assert bpe_train(["ab"], 0).merges == ()
+    for corpus in ([], ["", ""]):
+        with pytest.raises(ConfigError, match="cannot train on an empty corpus"):
+            bpe_train(corpus, 3)
 
 
 # ---------------------------------------------------------------------------

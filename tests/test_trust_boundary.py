@@ -199,6 +199,7 @@ values = {  # mostly the file an option expects, sometimes another
     "--pattern": st.text(alphabet="abz()[]|*+?.^-\\", max_size=8),
     "--vocab": st.just("vocab.txt") | files,
     "--merges": st.just("merges.txt") | files,
+    # the last two name no mode
     "--mode": st.sampled_from(["agnostic", "maxmatch", "bpe", "bpe-iterative", "x"]),
     "--out": outputs,
     "--dot": outputs,
