@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the bound check."""
 
 
 class TokfstError(Exception):
@@ -51,3 +51,11 @@ class IncompleteGenerationError(ConstraintError):
     def __init__(self, message: str, prefix: tuple[int, ...]):
         super().__init__(message)
         self.prefix = prefix
+
+
+def check_count(name: str, value: object) -> None:
+    """A bound such as max_len must be an int, not a bool, and not negative."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"{name} must not be negative, got {value}")

@@ -21,7 +21,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .errors import ConfigError, EnumerationError
+from .errors import ConfigError, EnumerationError, check_count
 from .symbols import EPSILON, FAILURE, RESERVED, SymbolTable
 
 
@@ -471,10 +471,8 @@ def enumerate_language(
     Exploration is capped at `max_paths` expansions; going over raises
     EnumerationError rather than silently truncating the answer.
     """
-    if max_len < 0:
-        raise ConfigError(f"max_len must not be negative, got {max_len}")
-    if max_paths < 0:
-        raise ConfigError(f"max_paths must not be negative, got {max_paths}")
+    check_count("max_len", max_len)
+    check_count("max_paths", max_paths)
     a = _failure_free(a)
     results: set[tuple[int, ...]] = set()
     start = frozenset(_reach([a.start], a._eps_next))

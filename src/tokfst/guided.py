@@ -19,6 +19,7 @@ from .errors import (
     ConstraintViolationError,
     DeadConstraintError,
     IncompleteGenerationError,
+    check_count,
 )
 from .fst import Dfa, trim
 from .symbols import RESERVED
@@ -50,9 +51,11 @@ def allowed_tokens(s: ConstraintState) -> frozenset[int]:
 
 
 def constraint_advance(s: ConstraintState, token: int) -> ConstraintState:
-    for inp, _, dst in s.dfa.arcs.get(s.state, ()):
-        if inp == token:
-            return ConstraintState(s.dfa, dst)
+    """Step by `token`, an `int` in the mask; 6.0 or True never match."""
+    if type(token) is int:
+        for inp, _, dst in s.dfa.arcs.get(s.state, ()):
+            if inp == token:
+                return ConstraintState(s.dfa, dst)
     table = s.dfa.table
     named = type(token) is int and 0 <= token < RESERVED + len(table)  # display renders it
     raise ConstraintViolationError(
@@ -99,15 +102,14 @@ def constrained_decode(
     At every step the scorer ranks the allowed tokens; at terminable states
     an end-of-sequence score competes with them and stops decoding when it
     wins (or when nothing may follow). Hitting max_steps anywhere else is an
-    error carrying the prefix generated so far; a negative max_steps is a
-    ConfigError.
+    error carrying the prefix generated so far; a max_steps that is not a
+    non-negative int is a ConfigError.
 
     retokenize_with enables the stop-detokenize-retokenize mitigation: after
     every step the prefix is replaced by its canonical tokenization, replayed
     through the automaton.
     """
-    if max_steps < 0:
-        raise ConfigError(f"max_steps must not be negative, got {max_steps}")
+    check_count("max_steps", max_steps)
     state = constraint_begin(d)
     out: list[int] = []
     for _ in range(max_steps):

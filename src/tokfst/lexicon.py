@@ -7,7 +7,8 @@
   construction; promotion walks the token steps, which give the same machine,
 * the greedy longest-match transducer (a trie with failure arcs that pop
   pending tokens, so every string maps to exactly its longest-match
-  segmentation),
+  segmentation): the failure links and pops annotate the token trie's node
+  ids, filled in one breadth-first pass as in LinMaxMatch,
 * merge gadgets (3-state transducers applying one byte-pair merge), which
   the paper's construction, `promote_bpe_chained`, composes.
 """
@@ -19,22 +20,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .fst import EPSILON, FAILURE, Dfa, Fst
 from .symbols import RESERVED, SymbolTable
-from .tokenizers import Vocabulary, maxmatch_tokenize
-
-
-def _trie(tokens: tuple[str, ...]) -> tuple[list[str], dict[str, dict[str, str]]]:
-    """The token trie: its nodes breadth first, and each node's children.
-
-    A breadth-first walk that visits children in sorted order lists the
-    prefixes by (length, text), so a sort gives the order; the root "" is
-    kept even without tokens, and each other prefix p is child p[-1] of p[:-1].
-    """
-    prefixes = {""} | {t[:n] for t in tokens for n in range(1, len(t) + 1)}
-    order = sorted(prefixes, key=lambda p: (len(p), p))
-    children: dict[str, dict[str, str]] = {p: {} for p in order}
-    for p in order[1:]:
-        children[p[:-1]][p[-1]] = p
-    return order, children
+from .tokenizers import Vocabulary
 
 
 # per node: the token it spells (None for a prefix of tokens only) and its
@@ -43,16 +29,18 @@ TokenTrie = tuple[tuple[int | None, dict[int, int]], ...]
 
 
 def build_token_trie(v: Vocabulary) -> TokenTrie:
-    """The token trie by ids, for walking, its nodes numbered in `_trie`'s
-    order: the root is 0."""
+    """The token trie by ids, its nodes numbered breadth first with children
+    in sorted order, the root 0 kept even without tokens. That order lists
+    the prefixes by (length, text), so a sort gives it; each other prefix p
+    is child p[-1] of p[:-1], which comes before it."""
     table = v.table
-    order, children = _trie(table.tokens)
+    prefixes = {""} | {t[:n] for t in table.tokens for n in range(1, len(t) + 1)}
+    order = sorted(prefixes, key=lambda p: (len(p), p))
     ids = {prefix: n for n, prefix in enumerate(order)}
-    return tuple(
-        (table.id(prefix) if prefix in table else None,
-         {table.id(ch): ids[child] for ch, child in children[prefix].items()})
-        for prefix in order
-    )
+    trie = tuple((table.id(prefix) if prefix in table else None, {}) for prefix in order)
+    for n, prefix in enumerate(order[1:], 1):
+        trie[ids[prefix[:-1]]][1][table.id(prefix[-1])] = n
+    return trie
 
 
 def token_steps(trie: TokenTrie, d: Dfa) -> list[list[tuple[int, int]]]:
@@ -97,44 +85,41 @@ def build_lexicon_transducer(v: Vocabulary) -> Fst:
 
 
 @dataclass(frozen=True)
-class TrieNode:
-    prefix: str
-    children: dict[str, str]  # char -> child prefix
-    final: bool
-    fail: str | None  # failure target prefix; None only at the root
-    pops: tuple[int, ...]  # token ids emitted when failing out of this node
-
-
-@dataclass(frozen=True)
 class FailureTrie:
-    """Token trie annotated with greedy-restart failure links.
-
-    For every non-root node, popping the pops tokens and then reading the
-    fail node's prefix re-spells the node's own prefix; the pops are the
-    longest-match tokens of the prefix up to the first one that leaves a
-    trie prefix. The order is breadth first with children in sorted order,
-    which is (length, text) order.
-    """
+    """The token trie with greedy-restart failure links, by node id. Every
+    node but the root re-spells its text as its pops, then its fail node's
+    text; the pops are the text's longest-match tokens, up to the first one
+    that leaves a trie prefix. The root fails nowhere and pops nothing."""
 
     table: SymbolTable
-    order: tuple[str, ...]  # node prefixes by (length, text), root first
-    nodes: dict[str, TrieNode]
+    trie: TokenTrie
+    fail: tuple[int | None, ...]  # failure target by node
+    pops: tuple[tuple[int, ...], ...]  # token ids emitted when failing out of a node
 
 
 def build_failure_trie(v: Vocabulary) -> FailureTrie:
-    table = v.table
-    order, children = _trie(table.tokens)
-    nodes = {"": TrieNode("", children[""], False, None, ())}
-    for prefix in order[1:]:
-        # the pops: its greedy tokens, cut after the first that leaves a
-        # trie prefix; the cut always happens, as "" is a trie prefix
-        pops, rest = maxmatch_tokenize(prefix, v), prefix
-        for n, token in enumerate(pops, 1):
-            rest = rest[len(table.token(token)):]
-            if rest in children:
-                break
-        nodes[prefix] = TrieNode(prefix, children[prefix], prefix in table, rest, pops[:n])
-    return FailureTrie(table, tuple(order), nodes)
+    """The links in one breadth-first pass, as in LinMaxMatch (Song et al.,
+    "Fast WordPiece Tokenization", 2021). A node that spells a token pops it
+    and fails to the root. Any other child u of v on character c takes v's
+    pops, then follows v's failure chain, adding each node's pops, to the
+    first node with a child on c, where u fails. Every character is a token,
+    so the root ends the chain. The chain spells shorter texts than u, so
+    the pass has set their links already."""
+    trie = build_token_trie(v)
+    fail: list[int | None] = [None] * len(trie)
+    pops: list[tuple[int, ...]] = [()] * len(trie)
+    for node, (_, children) in enumerate(trie):
+        for ch, child in children.items():
+            token = trie[child][0]
+            if token is not None:
+                fail[child], pops[child] = 0, (token,)
+                continue
+            held, target = pops[node], fail[node]
+            while ch not in trie[target][1]:
+                held += pops[target]
+                target = fail[target]
+            fail[child], pops[child] = trie[target][1][ch], held
+    return FailureTrie(v.table, trie, tuple(fail), tuple(pops))
 
 
 def build_maxmatch_transducer(trie: FailureTrie) -> Fst:
@@ -143,27 +128,22 @@ def build_maxmatch_transducer(trie: FailureTrie) -> Fst:
     Characters descend the trie emitting nothing. When no child matches (or
     the input ends), a failure chain emits the node's pops one token per arc
     and lands on the failure target; the root is the start and only final
-    state, so a complete run flushes everything it held.
+    state, so a complete run flushes everything it held. The trie's nodes
+    keep their ids; each chain's inner states are numbered after them.
     """
-    table = trie.table
-    ids = {prefix: n for n, prefix in enumerate(trie.order)}
-    count = len(trie.order)
+    count = len(trie.trie)
     arcs: list[tuple[int, int, int, int]] = []
-
-    for prefix in trie.order:
-        node = trie.nodes[prefix]
-        for ch, child in node.children.items():
-            arcs.append((ids[prefix], table.id(ch), EPSILON, ids[child]))
-        if node.fail is None:
+    for node, (_, children) in enumerate(trie.trie):
+        arcs += [(node, ch, EPSILON, child) for ch, child in children.items()]
+        if trie.fail[node] is None:
             continue
-        src = ids[prefix]
-        for pop in node.pops[:-1]:
+        src, pops = node, trie.pops[node]
+        for pop in pops[:-1]:
             arcs.append((src, FAILURE, pop, count))
             src = count
             count += 1
-        arcs.append((src, FAILURE, node.pops[-1], ids[node.fail]))
-
-    return Fst(table, count, 0, frozenset([0]), arcs)
+        arcs.append((src, FAILURE, pops[-1], trie.fail[node]))
+    return Fst(trie.table, count, 0, frozenset([0]), arcs)
 
 
 @dataclass(frozen=True)

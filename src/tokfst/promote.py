@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import AlphabetError, ConfigError, EnumerationError
+from .errors import AlphabetError, ConfigError, EnumerationError, check_count
 from .fst import (
     Dfa,
     Fst,
@@ -210,10 +210,8 @@ def language_by_chars(
     the depth. Paths in a deterministic machine never rejoin, so no visited
     set is needed.
     """
-    if max_chars < 0:
-        raise ConfigError(f"max_chars must not be negative, got {max_chars}")
-    if max_paths < 0:
-        raise ConfigError(f"max_paths must not be negative, got {max_paths}")
+    check_count("max_chars", max_chars)
+    check_count("max_paths", max_paths)
     table = v.table
     out: set[tuple[int, ...]] = set()
     stack: list[tuple[int, int, tuple[int, ...]]] = [(d.start, 0, ())]
@@ -236,7 +234,10 @@ def language_by_chars(
     return out
 
 
-def _check_oracle_mode(mode: str, v: Vocabulary, tokenizer: BpeTokenizer | None) -> None:
+def _check_oracle_args(
+    mode: str, v: Vocabulary, max_chars: int, tokenizer: BpeTokenizer | None
+) -> None:
+    check_count("max_chars", max_chars)
     if mode not in ("agnostic", "maxmatch", "bpe"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "bpe":
@@ -250,7 +251,7 @@ def expected_promotion(
     a: Dfa, v: Vocabulary, mode: str, max_chars: int, tokenizer: BpeTokenizer | None = None
 ) -> set[tuple[int, ...]]:
     """The reference answer, computed without any transducer machinery."""
-    _check_oracle_mode(mode, v, tokenizer)
+    _check_oracle_args(mode, v, max_chars, tokenizer)
     strings = {
         v.decode(seq) for seq in enumerate_language(a, max_chars)
     }
@@ -276,7 +277,7 @@ def check_promotion(
     bound. Returns None when the languages agree, otherwise the first
     counterexample as ("missing" | "unexpected", token sequence).
     """
-    _check_oracle_mode(mode, v, tokenizer)
+    _check_oracle_args(mode, v, max_chars, tokenizer)
     if mode == "agnostic":
         result = promote_agnostic(a, v)
     elif mode == "maxmatch":

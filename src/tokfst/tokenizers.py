@@ -299,6 +299,8 @@ def bpe_train(corpus: Iterable[str], steps: int) -> BpeTokenizer:
     """
     if type(steps) is not int or steps < 0:
         raise ConfigError(f"steps must be a non-negative int, got {steps!r}")
+    if isinstance(corpus, str) or not isinstance(corpus, Iterable):
+        raise ConfigError(f"corpus must be an iterable of strings, got {corpus!r}")
     words: Counter[str] = Counter()  # insertion order is first-seen order
     for w in corpus:
         if not isinstance(w, str):

@@ -28,6 +28,7 @@ from tokfst import (
     count_segmentations,
     enumerate_language,
     epsilon_remove,
+    maxmatch_tokenize,
     minimize,
     project_output,
     promote_agnostic,
@@ -35,6 +36,7 @@ from tokfst import (
     trim,
 )
 from tokfst.fst import _output_subsets
+from tokfst.lexicon import TokenTrie, build_token_trie
 
 # ---------------------------------------------------------------------------
 # small machine constructors
@@ -94,6 +96,34 @@ def lexicon_promotion(a: Dfa, v: Vocabulary) -> tuple[Dfa, bool]:
     targets."""
     walked, deterministic = _output_subsets(compose(a, build_lexicon_transducer(v)))
     return minimize(walked), deterministic
+
+
+def trie_spellings(trie: TokenTrie, table: SymbolTable) -> list[str]:
+    """Each token trie node's text, by node id."""
+    spelled = [""] * len(trie)
+    for node, (_, children) in enumerate(trie):
+        for ch, child in children.items():
+            spelled[child] = spelled[node] + table.token(ch)
+    return spelled
+
+
+def greedy_failure_links(v: Vocabulary) -> list[tuple[int | None, tuple[int, ...]]]:
+    """Each token trie node's (failure target, pops) by the greedy
+    definition: the pops are `maxmatch_tokenize` of the node's text, cut
+    after the first token whose remainder is a trie prefix, and the target
+    is that remainder's node. The root fails nowhere and pops nothing."""
+    table = v.table
+    spelled = trie_spellings(build_token_trie(v), table)
+    ids = {text: node for node, text in enumerate(spelled)}
+    links: list[tuple[int | None, tuple[int, ...]]] = [(None, ())]
+    for text in spelled[1:]:
+        pops, rest = maxmatch_tokenize(text, v), text
+        for n, token in enumerate(pops, 1):
+            rest = rest[len(table.token(token)):]
+            if rest in ids:
+                break
+        links.append((ids[rest], pops[:n]))
+    return links
 
 
 def gadget_stages(a: Dfa, tok: BpeTokenizer) -> tuple[Dfa, list[tuple[str, bool, bool]]]:

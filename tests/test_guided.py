@@ -2,6 +2,8 @@
 
 import random
 import struct
+from decimal import Decimal
+from fractions import Fraction
 from hashlib import blake2b
 
 import pytest
@@ -78,6 +80,17 @@ def test_advance_rejects_disallowed_tokens():
         assert str(info.value) == f"token {shown} is not allowed here"
     with pytest.raises(ConstraintViolationError, match="^token φ is not allowed here$"):
         constraint_advance(state, 1)
+
+
+def test_advance_matches_ints_only():
+    # values equal to the one allowed id, but not ints, step nowhere
+    state = constraint_begin(race_dfa("maxmatch"))
+    race = RACE.table.id("race")
+    for token in (float(race), Fraction(race), Decimal(race), type("Id", (int,), {})(race)):
+        assert token == race
+        with pytest.raises(ConstraintViolationError, match="is not allowed here$"):
+            constraint_advance(state, token)
+    assert names(allowed_tokens(constraint_advance(state, race))) == ["car"]
 
 
 def test_every_allowed_token_keeps_the_constraint_alive():

@@ -23,7 +23,13 @@ from tokfst import (
 from tokfst.lexicon import build_token_trie, token_steps
 from tokfst.symbols import RESERVED
 
-from helpers import random_merge_tokenizer, random_vocab, transduce
+from helpers import (
+    greedy_failure_links,
+    random_merge_tokenizer,
+    random_vocab,
+    transduce,
+    trie_spellings,
+)
 
 FIG4 = Vocabulary.from_tokens(["a", "b", "c", "ab", "abc", "bc"])
 BANANAS = Vocabulary.from_tokens(["a", "b", "n", "s", "ba", "na", "ban", "bana"])
@@ -71,10 +77,14 @@ def test_lexicon_over_bare_characters_is_the_identity():
 def test_trie_nodes_for_the_race_vocabulary():
     trie = build_failure_trie(RACE)
     table = RACE.table
+    spelled = trie_spellings(trie.trie, table)
+    ids = {text: node for node, text in enumerate(spelled)}
 
     def node(prefix):
-        n = trie.nodes[prefix]
-        return n.final, n.fail, tuple(table.token(i) for i in n.pops)
+        n = ids[prefix]
+        fail = trie.fail[n]
+        return (trie.trie[n][0] is not None, None if fail is None else spelled[fail],
+                tuple(table.token(i) for i in trie.pops[n]))
 
     assert node("") == (False, None, ())
     assert node("ra") == (False, "a", ("r",))
@@ -82,37 +92,51 @@ def test_trie_nodes_for_the_race_vocabulary():
     assert node("race") == (True, "", ("race",))
     assert node("ce") == (True, "", ("ce",))
     # breadth first with children in sorted order: (length, text) order
-    assert trie.order == ("", "a", "c", "e", "r", "ca", "ce", "ra", "car", "rac", "race")
+    assert spelled == ["", "a", "c", "e", "r", "ca", "ce", "ra", "car", "rac", "race"]
+    assert trie.trie == build_token_trie(RACE)
 
 
 def test_empty_vocabulary_keeps_the_root():
     empty = Vocabulary.from_tokens([])
-    assert build_failure_trie(empty).order == ("",)
+    trie = build_failure_trie(empty)
+    assert (trie.trie, trie.fail, trie.pops) == (((None, {}),), (None,), ((),))
     lex = build_lexicon_transducer(empty)
     assert (lex.num_states, lex.start, lex.finals, lex.arcs) == (1, 0, {0}, {})
 
 
 def test_trie_failure_invariant():
-    # popping the recorded tokens and landing on the fallback respells the prefix
+    # popping the recorded tokens and landing on the fallback respells the node
     rng = random.Random(62)
     for _ in range(30):
         chars = "".join(sorted(rng.sample("abcd", rng.randint(2, 4))))
         vocab = random_vocab(rng, chars, rng.randint(0, 8))
         trie = build_failure_trie(vocab)
         table = vocab.table
-        for prefix, n in trie.nodes.items():
-            if n.fail is None:
-                assert prefix == ""
+        spelled = trie_spellings(trie.trie, table)
+        for n, (fail, pops) in enumerate(zip(trie.fail, trie.pops)):
+            if fail is None:
+                assert n == 0
                 continue
-            spelled = "".join(table.token(i) for i in n.pops) + n.fail
-            assert spelled == prefix
-            assert n.fail in trie.nodes
+            assert 0 <= fail < len(trie.trie)
+            assert "".join(table.token(i) for i in pops) + spelled[fail] == spelled[n]
 
 
 def test_trie_finals_are_exactly_the_tokens():
     trie = build_failure_trie(BANANAS)
-    finals = {p for p, n in trie.nodes.items() if n.final}
-    assert finals == set(BANANAS.table.tokens)
+    spelled = trie_spellings(trie.trie, BANANAS.table)
+    finals = {spelled[n]: token for n, (token, _) in enumerate(trie.trie) if token is not None}
+    assert set(finals) == set(BANANAS.table.tokens)
+    assert all(BANANAS.table.id(text) == token for text, token in finals.items())
+
+
+def test_failure_links_equal_the_greedy_definition():
+    # the breadth-first pass against each node's longest-match tokens
+    rng = random.Random(64)
+    for _ in range(5000):
+        chars = "".join(sorted(rng.sample("abcd", rng.randint(1, 4))))
+        vocab = random_vocab(rng, chars, rng.randint(0, 12))
+        trie = build_failure_trie(vocab)
+        assert list(zip(trie.fail, trie.pops)) == greedy_failure_links(vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,11 @@ def test_train_rejects_bad_input():
     for corpus in ([1, 2], ["ab", b"ab"], [["a", "b"]], [None]):
         with pytest.raises(ConfigError, match="corpus items must be strings"):
             bpe_train(corpus, 1)
+    # a bare string is not a list of one-character words, and a corpus
+    # must be iterable
+    for corpus in ("abab", 5, None):
+        with pytest.raises(ConfigError, match="corpus must be an iterable of strings"):
+            bpe_train(corpus, 3)
     assert bpe_train(["ab"], 0).merges == ()
     for corpus in ([], ["", ""]):
         with pytest.raises(ConfigError, match="cannot train on an empty corpus"):

@@ -6,7 +6,7 @@ line turns every input into an exit code."""
 import io
 import json
 import random
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
 
@@ -19,21 +19,29 @@ from tokfst import (
     BpeTokenizer,
     ConfigError,
     Dfa,
+    EnumerationError,
     Fst,
+    IncompleteGenerationError,
+    StubLM,
     SymbolTable,
     TokfstError,
     Transition,
     Vocabulary,
+    check_promotion,
     compile_pattern,
+    constrained_decode,
     enumerate_language,
     export_dot,
+    language_by_chars,
     load_automaton,
     load_merges,
     load_vocab,
     minimize,
+    promote_agnostic,
     trim,
 )
 from tokfst.cli import main
+from tokfst.promote import expected_promotion
 
 from helpers import random_merge_tokenizer
 
@@ -249,3 +257,31 @@ def test_cli_returns_an_exit_code(tmp_path, command, vocab, merges, automaton):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+# the agnostic (a|b)* machine over [a, b, ab]: its language has no end, so a
+# bound that is not an int must be refused before any enumeration starts
+AB = Vocabulary.from_tokens(["a", "b", "ab"])
+STAR_PATTERN = compile_pattern("(a|b)*", AB.table)
+STAR = promote_agnostic(STAR_PATTERN, AB).dfa
+BOUNDED = {
+    "max_len": lambda n: enumerate_language(STAR, n),
+    "max_paths": lambda n: enumerate_language(STAR, 2, max_paths=n),
+    "max_chars": lambda n: language_by_chars(STAR, AB, n),
+    "check_promotion": lambda n: check_promotion(STAR_PATTERN, AB, "agnostic", n),
+    "expected_promotion": lambda n: expected_promotion(STAR_PATTERN, AB, "agnostic", n),
+    "max_steps": lambda n: constrained_decode(StubLM(0), STAR, n),
+}
+
+
+@FUZZ
+@given(st.sampled_from(sorted(BOUNDED)),
+       st.integers(-3, 4) | st.booleans() | st.floats() | st.none() | st.text(max_size=2))
+def test_bounds_must_be_non_negative_ints(name, bound):
+    if type(bound) is int and bound >= 0:
+        # a valid bound may still run out of paths or of decoding steps
+        with suppress(EnumerationError, IncompleteGenerationError):
+            BOUNDED[name](bound)
+    else:
+        with pytest.raises(ConfigError, match="must (be an int|not be negative)"):
+            BOUNDED[name](bound)
