@@ -206,20 +206,6 @@ def _discover(cls: type[Fst], table: SymbolTable, start, expand) -> Fst:
     return cls._trusted(table, len(order), 0, frozenset(finals), arcs)
 
 
-def _renumber(a: Fst, renum: Mapping[int, int], num_states: int) -> Fst:
-    """Rename each state q of `a` to renum[q], dropping the states `renum`
-    omits and the arcs that touch them; arcs that merge are kept once. The
-    callers keep only live states, so the result is marked trim."""
-    arcs: dict[int, set[tuple[int, int, int]]] = defaultdict(set)
-    for q, new in renum.items():
-        for inp, out, dst in a.arcs.get(q, ()):
-            if dst in renum:
-                arcs[new].add((inp, out, renum[dst]))
-    finals = frozenset(renum[q] for q in a.finals if q in renum)
-    stored = {q: tuple(sorted(q_arcs)) for q, q_arcs in arcs.items()}
-    return type(a)._trusted(a.table, num_states, renum[a.start], finals, stored, trim=True)
-
-
 # ---------------------------------------------------------------------------
 # composition
 
@@ -347,20 +333,51 @@ def _output_subsets(t: Fst) -> tuple[Dfa, bool]:
     the set of raw targets one label leads to, expanded through its closure
     under arcs that emit nothing. The flag is True iff no label of any key
     led to two targets."""
-    silent = _eps_targets(t, 1)
+    # per state: the targets of its silent arcs and its emitting (output,
+    # target) pairs, split once so each key's walk reads only lists
+    silent: list[list[int]] = [[] for _ in range(t.num_states)]
+    emits: list[list[tuple[int, int]]] = [[] for _ in range(t.num_states)]
+    for q, arcs in t.arcs.items():
+        for _, out, dst in arcs:
+            if out == EPSILON:
+                silent[q].append(dst)
+            else:
+                emits[q].append((out, dst))
+    # a label that reaches one target leads to that target's one shared
+    # key, whose hash `_discover` computes once
+    singles: dict[int, frozenset[int]] = {}
+    finals = t.finals
     deterministic = True
 
     def expand(key: frozenset[int]) -> tuple[bool, list[tuple[int, int, frozenset]]]:
         nonlocal deterministic
-        closure = _reach(key, silent)
-        targets: dict[int, set[int]] = defaultdict(set)
-        for q in closure:
-            for _, out, dst in t.arcs.get(q, ()):
-                if out != EPSILON:
-                    targets[out].add(dst)
-        deterministic = deterministic and all(len(d) == 1 for d in targets.values())
-        moves = [(sym, sym, frozenset(targets[sym])) for sym in sorted(targets)]
-        return not t.finals.isdisjoint(closure), moves
+        seen = set(key)
+        stack = list(key)
+        first: dict[int, int] = {}  # label: the first target it reached
+        more: dict[int, set[int]] = {}  # label: every target, once it reached two
+        while stack:
+            q = stack.pop()
+            for out, dst in emits[q]:
+                if first.setdefault(out, dst) != dst:
+                    more.setdefault(out, {first[out]}).add(dst)
+            for r in silent[q]:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        if more:
+            deterministic = False
+        moves = []
+        for sym in sorted(first):
+            dsts = more.get(sym)
+            if dsts is None:
+                dst = first[sym]
+                target = singles.get(dst)
+                if target is None:
+                    target = singles[dst] = frozenset((dst,))
+            else:
+                target = frozenset(dsts)
+            moves.append((sym, sym, target))
+        return not finals.isdisjoint(seen), moves
 
     return _discover(Dfa, t.table, frozenset([t.start]), expand), deterministic
 
@@ -379,7 +396,17 @@ def trim(a: Fst) -> Fst:
         if a.num_states == 1 and not a.arcs:
             return a
         return type(a)._trusted(a.table, 1, 0, frozenset(), {}, trim=True)
-    return _renumber(a, {q: i for i, q in enumerate(sorted(live))}, len(live))
+    # the renumbering keeps the order of the states it keeps and merges
+    # none, so each state's arcs stay sorted and distinct
+    order = sorted(live)
+    renum = {q: i for i, q in enumerate(order)}
+    arcs = {}
+    for new, q in enumerate(order):
+        kept = tuple((inp, out, renum[dst]) for inp, out, dst in a.arcs.get(q, ()) if dst in renum)
+        if kept:
+            arcs[new] = kept
+    finals = frozenset(renum[q] for q in a.finals if q in renum)
+    return type(a)._trusted(a.table, len(order), renum[a.start], finals, arcs, trim=True)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -396,25 +423,39 @@ def minimize(d: Dfa) -> Dfa:
         return t
 
     # each state's arcs are sorted by input symbol, one arc per symbol, so a
-    # signature lists them in symbol order without sorting
-    block = [0 if q in t.finals else 1 for q in range(t.num_states)]
+    # signature lists its inputs and their targets' blocks in symbol order
+    n = t.num_states
+    inputs: list[tuple[int, ...]] = [()] * n
+    dsts: list[tuple[int, ...]] = [()] * n
+    for q, arcs in t.arcs.items():
+        inputs[q] = tuple(map(itemgetter(0), arcs))
+        dsts[q] = tuple(map(itemgetter(2), arcs))
+    block = [0 if q in t.finals else 1 for q in range(n)]
     while True:
         signatures: dict[tuple, int] = {}
-        new_block = [0] * t.num_states
-        for q in range(t.num_states):
-            sig = (block[q], tuple((inp, block[dst]) for inp, _, dst in t.arcs.get(q, ())))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[q] = signatures[sig]
+        new_block = [0] * n
+        for q in range(n):
+            sig = (block[q], inputs[q], tuple(map(block.__getitem__, dsts[q])))
+            new_block[q] = signatures.setdefault(sig, len(signatures))
         # blocks are numbered in the order of their first state, so a block
         # id is already the state's new number: the identity once every
         # state has a block of its own, a partition no round can refine
-        if len(signatures) == t.num_states:
+        if len(signatures) == n:
             return t
         if new_block == block:
             break
         block = new_block
-    return _renumber(t, dict(enumerate(block)), len(signatures))
+    # the partition is stable, so every state of a block has the same
+    # signature: the block's first state gives its arcs, already sorted
+    arcs = {}
+    upcoming = 0  # the lowest block whose first state is still to come
+    for q in range(n):
+        if block[q] == upcoming:
+            if inputs[q]:
+                arcs[upcoming] = tuple(zip(inputs[q], inputs[q], map(block.__getitem__, dsts[q])))
+            upcoming += 1
+    finals = frozenset(block[q] for q in t.finals)
+    return Dfa._trusted(t.table, len(signatures), block[t.start], finals, arcs, trim=True)
 
 
 def canonical_form(d: Dfa) -> Dfa:

@@ -1,7 +1,8 @@
 """Builders for the character-to-subword machines.
 
-* the token trie by ids, and its walk against a DFA from every state: the
-  token steps that agnostic promotion keeps and BPE promotion filters,
+* the token trie by ids, which each vocabulary keeps once built, and its
+  walk against a DFA from every state: the token steps that agnostic
+  promotion keeps and BPE promotion filters,
 * the tokenization-agnostic lexicon transducer (a starred trie that maps any
   token's character sequence to that token): the paper's agnostic
   construction; promotion walks the token steps, which give the same machine,
@@ -16,6 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError
 from .fst import EPSILON, FAILURE, Dfa, Fst
@@ -41,6 +43,22 @@ def build_token_trie(v: Vocabulary) -> TokenTrie:
     for n, prefix in enumerate(order[1:], 1):
         trie[ids[prefix[:-1]]][1][table.id(prefix[-1])] = n
     return trie
+
+
+def vocab_machine(v: Vocabulary, label: str, build: Callable[[], object]):
+    """The vocabulary's machine `label`: built by `build()` the first time
+    a promotion needs it, then kept by the vocabulary, as it depends only
+    on the table."""
+    machine = v._machines.get(label)
+    if machine is None:
+        machine = v._machines[label] = build()
+    return machine
+
+
+def token_trie(v: Vocabulary) -> TokenTrie:
+    """The vocabulary's one token trie, which token steps and failure links
+    both read: built on first use, then kept."""
+    return vocab_machine(v, "trie", lambda: build_token_trie(v))
 
 
 def token_steps(trie: TokenTrie, d: Dfa) -> list[list[tuple[int, int]]]:
@@ -104,8 +122,9 @@ def build_failure_trie(v: Vocabulary) -> FailureTrie:
     pops, then follows v's failure chain, adding each node's pops, to the
     first node with a child on c, where u fails. Every character is a token,
     so the root ends the chain. The chain spells shorter texts than u, so
-    the pass has set their links already."""
-    trie = build_token_trie(v)
+    the pass has set their links already. The links annotate the trie the
+    vocabulary keeps."""
+    trie = token_trie(v)
     fail: list[int | None] = [None] * len(trie)
     pops: list[tuple[int, ...]] = [()] * len(trie)
     for node, (_, children) in enumerate(trie):

@@ -45,8 +45,9 @@ from .lexicon import (  # build_lexicon_transducer: bound for perfbench/tracing.
     build_lexicon_transducer,
     build_maxmatch_transducer,
     build_merge_gadget,
-    build_token_trie,
     token_steps,
+    token_trie,
+    vocab_machine,
 )
 from .tokenizers import BigramTables, BpeTokenizer, Vocabulary, iter_segmentations
 from .tokenizers import maxmatch_tokenize
@@ -84,16 +85,6 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     return trim(a)
 
 
-def _vocab_machine(v: Vocabulary, label: str, build: Callable[[], object]):
-    """The vocabulary's machine `label`: built by `build()` the first time
-    a promotion needs it, then kept by the vocabulary, as it depends only
-    on the table."""
-    machine = v._machines.get(label)
-    if machine is None:
-        machine = v._machines[label] = build()
-    return machine
-
-
 def _stage(
     a: Dfa, v: Vocabulary, mode: str, label: str, build: Callable[[Dfa], tuple[Fst, bool]]
 ) -> PromotionResult:
@@ -129,7 +120,7 @@ def promote_maxmatch(a: Dfa, v: Vocabulary) -> PromotionResult:
     the output side of the pattern composed with the vocabulary's kept
     longest-match transducer. One stage, labelled "maxmatch"."""
     build = lambda: build_maxmatch_transducer(build_failure_trie(v))
-    composed = lambda d: _output_subsets(compose(d, _vocab_machine(v, "maxmatch", build)))
+    composed = lambda d: _output_subsets(compose(d, vocab_machine(v, "maxmatch", build)))
     return _stage(a, v, "maxmatch", "maxmatch", composed)
 
 
@@ -158,9 +149,8 @@ def _bigram_product(d: Dfa, v: Vocabulary, tables: BigramTables) -> Dfa:
     and is final iff its pattern state is. `d` is deterministic, so the
     steps are too."""
     canonical, classes, forbidden = tables
-    trie = _vocab_machine(v, "trie", lambda: build_token_trie(v))
     moves = [[(tok, tok, (dst, classes[tok])) for tok, dst in q_steps if tok in canonical]
-             for q_steps in token_steps(trie, d)]
+             for q_steps in token_steps(token_trie(v), d)]
     finals = d.finals
 
     def expand(key: tuple[int, int]) -> tuple[bool, list[tuple[int, int, tuple[int, int]]]]:

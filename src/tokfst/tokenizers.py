@@ -26,9 +26,9 @@ class Vocabulary:
 
     table: SymbolTable
     # what promotion builds from the table alone, by name: the token trie
-    # that agnostic and bpe promotion walk ("trie") and the longest-match
-    # transducer maxmatch composes with ("maxmatch"), each built the first
-    # time a promotion needs it
+    # that agnostic and bpe promotion walk and the failure links annotate
+    # ("trie") and the longest-match transducer maxmatch composes with
+    # ("maxmatch"), each built the first time a promotion needs it
     _machines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

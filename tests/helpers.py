@@ -145,6 +145,70 @@ def gadget_stages(a: Dfa, tok: BpeTokenizer) -> tuple[Dfa, list[tuple[str, bool,
     return current, stages
 
 
+def minimal_state_count(d: Dfa) -> int:
+    """The state count of the minimal trim acceptor of `d`'s language, by
+    table filling. Over the states reachable from the start plus a rejecting
+    sink that completes the transition function, every pair one of whose
+    states is final is distinguishable, and so is every pair some symbol
+    leads to a distinguishable pair. The classes of the pairs left are
+    counted without the sink's, whose states accept nothing; an empty
+    language still keeps its start state."""
+    delta = {q: {inp: dst for inp, _, dst in arcs} for q, arcs in d.arcs.items()}
+    symbols = sorted({inp for moves in delta.values() for inp in moves})
+    sink = -1
+    states = [d.start]
+    for q in states:  # grows as the walk goes
+        for r in delta.get(q, {}).values():
+            if r not in states:
+                states.append(r)
+    states.append(sink)
+
+    def step(q: int, sym: int) -> int:
+        return delta.get(q, {}).get(sym, sink)
+
+    marked = {frozenset((p, q)) for p in states for q in states
+              if (p in d.finals) != (q in d.finals)}
+    changed = True
+    while changed:
+        changed = False
+        for i, p in enumerate(states):
+            for q in states[i + 1:]:
+                pair = frozenset((p, q))
+                if pair not in marked and any(
+                        frozenset((step(p, s), step(q, s))) in marked for s in symbols):
+                    marked.add(pair)
+                    changed = True
+    classes: list[int] = []
+    for q in states:
+        if all(frozenset((q, r)) in marked for r in classes):
+            classes.append(q)
+    live = [q for q in classes if q != sink and frozenset((q, sink)) in marked]
+    return max(1, len(live))
+
+
+def random_partial_dfa(rng: random.Random, table: SymbolTable, max_states: int) -> Dfa:
+    """A DFA with a partial transition function and random finals, plus a
+    twin of one state, which has its arcs and finality, a dead state
+    (non-final, arcs to itself only) and an unreachable state that may be
+    final. The others may enter the twin and the dead state; the
+    unreachable state enters the others."""
+    syms = sorted(table.token_ids())
+    n = rng.randint(1, max_states)
+    twin, dead, unreachable = n, n + 1, n + 2
+    density = rng.uniform(0.2, 0.8)
+    arcs = [Transition(q, s, s, rng.randrange(n + 2))
+            for q in range(n) for s in syms if rng.random() < density]
+    original = rng.randrange(n)
+    arcs += [Transition(twin, s, s, dst) for q, s, _, dst in arcs if q == original]
+    arcs += [Transition(dead, s, s, dead) for s in syms if rng.random() < 0.5]
+    arcs += [Transition(unreachable, s, s, rng.randrange(n)) for s in syms
+             if rng.random() < 0.5]
+    finals = {q for q in (*range(n), unreachable) if rng.random() < 0.4}
+    if original in finals:
+        finals.add(twin)
+    return Dfa(table, n + 3, rng.randrange(n), frozenset(finals), arcs)
+
+
 # ---------------------------------------------------------------------------
 # random pattern text
 
@@ -210,6 +274,20 @@ def random_vocab(rng: random.Random, chars: str, extra: int) -> Vocabulary:
         seen.add(tok)
         tokens.append(tok)
     return Vocabulary.from_tokens(tokens)
+
+
+def identifiers(seed: int, n: int) -> list[str]:
+    """`n` snake_case identifiers of one to three parts, some with a digit."""
+    rng = random.Random(seed)
+    parts = ("get set user name id data file path max min count item list key "
+             "value node tmp x y").split()
+    out = []
+    for _ in range(n):
+        ident = "_".join(rng.choice(parts) for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.2:
+            ident += str(rng.randrange(10))
+        out.append(ident)
+    return out
 
 
 def random_merge_tokenizer(rng: random.Random, chars: str, k: int) -> BpeTokenizer:

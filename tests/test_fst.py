@@ -28,7 +28,14 @@ from tokfst.errors import ConfigError
 from tokfst.fst import _output_subsets
 from tokfst.lexicon import build_failure_trie, build_maxmatch_transducer
 
-from helpers import enumerate_pairs, line_dfa, random_pattern_dfa, random_transducer
+from helpers import (
+    enumerate_pairs,
+    line_dfa,
+    minimal_state_count,
+    random_partial_dfa,
+    random_pattern_dfa,
+    random_transducer,
+)
 
 AB = SymbolTable(["a", "b"])
 A, B = AB.ids(["a", "b"])
@@ -230,6 +237,25 @@ def test_minimize_is_idempotent_and_canonical():
             continue
         small = minimize(m)
         assert minimize(small) is small
+
+
+def test_minimize_matches_table_filling():
+    """`minimize` against pairwise distinguishability on 2,000 seeded partial
+    DFAs with unreachable and dead states: as many states as the oracle's
+    classes and the same language. Minimizing keeps the order of the states
+    it keeps, so a machine in canonical form stays in it."""
+    table = SymbolTable(["a", "b", "c"])
+    rng = random.Random(2202)
+    merged = 0
+    for _ in range(2000):
+        d = random_partial_dfa(rng, table, max_states=7)
+        small = minimize(d)
+        assert small.num_states == minimal_state_count(d)
+        assert enumerate_language(small, 5) == enumerate_language(d, 5)
+        ordered = minimize(canonical_form(d))
+        assert canonical_form(ordered) == ordered == canonical_form(small)
+        merged += small.num_states < trim(d).num_states
+    assert merged > 200
 
 
 def test_discovery_numbering_is_canonical():

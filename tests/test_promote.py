@@ -6,13 +6,16 @@ test_acceptance.py.
 """
 
 import gc
+import hashlib
 import random
+import string
 import time
 import weakref
 
 import pytest
 
 import tokfst.fst
+import tokfst.lexicon
 import tokfst.promote
 import tokfst.tokenizers
 from tokfst import (
@@ -28,6 +31,7 @@ from tokfst import (
     Transition,
     Vocabulary,
     accepts,
+    bpe_train,
     canonical_form,
     check_promotion,
     compile_pattern,
@@ -40,6 +44,7 @@ from tokfst import (
     promote_bpe,
     promote_bpe_chained,
     promote_maxmatch,
+    save_automaton,
 )
 from tokfst.lexicon import build_failure_trie, build_maxmatch_transducer, build_token_trie
 from tokfst.promote import expected_promotion
@@ -47,6 +52,7 @@ from tokfst.promote import expected_promotion
 from helpers import (
     draw_until,
     gadget_stages,
+    identifiers,
     lexicon_promotion,
     random_merge_tokenizer,
     random_pattern_dfa,
@@ -464,12 +470,16 @@ def test_operations_build_no_transition_records(monkeypatch):
 
 
 def _counting_builders(monkeypatch):
+    # the token trie is built where the vocabulary keeps it, in lexicon;
+    # the tracer patches the longest-match builders where promote binds them
     built = []
-    for name in ("build_token_trie", "build_failure_trie", "build_maxmatch_transducer"):
-        def counted(arg, name=name, build=getattr(tokfst.promote, name)):
+    for module, name in ((tokfst.lexicon, "build_token_trie"),
+                         (tokfst.promote, "build_failure_trie"),
+                         (tokfst.promote, "build_maxmatch_transducer")):
+        def counted(arg, name=name, build=getattr(module, name)):
             built.append(name)
             return build(arg)
-        monkeypatch.setattr(tokfst.promote, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return built
 
 
@@ -502,6 +512,26 @@ def test_each_vocabulary_builds_its_transducers_once(monkeypatch):
     for _ in range(3):
         _promote_all(a, again)
     assert len(built) == 3
+
+
+def test_every_mode_reads_one_token_trie(monkeypatch):
+    # the failure links annotate the trie the token steps walk, whichever
+    # mode builds it first
+    built = _counting_builders(monkeypatch)
+    linked = []
+    to_transducer = tokfst.promote.build_maxmatch_transducer
+    monkeypatch.setattr(tokfst.promote, "build_maxmatch_transducer",
+                        lambda links: linked.append(links) or to_transducer(links))
+    for modes in ((promote_agnostic, promote_maxmatch), (promote_maxmatch, promote_agnostic)):
+        vocab = Vocabulary.from_tokens(["a", "b", "ab", "ba"])
+        a = compile_pattern("(a|b)*", vocab.table)
+        for _ in range(2):
+            for promote in modes:
+                promote(a, vocab)
+        assert built.count("build_token_trie") == 1
+        assert len(linked) == 1 and linked[0].trie is vocab._machines["trie"]
+        built.clear()
+        linked.clear()
 
 
 def _trie_snapshot(trie):
@@ -548,6 +578,29 @@ def test_cached_transducers_do_not_keep_a_vocabulary_alive():
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     assert all(r.dfa.finals for r in results)
+
+
+# ---------------------------------------------------------------------------
+# pinned output
+
+
+def test_promotions_at_scale_are_pinned(tmp_path):
+    # the SHA-256 of each mode's saved machine, taken when the subset
+    # construction, `minimize` and `trim` still built their arcs through
+    # sorted sets: a promotion must not move by one arc or state number
+    tok = bpe_train(identifiers(7, 1200) + list(string.ascii_lowercase), 100)
+    a = compile_pattern("(get|set)_[a-z]+", tok.vocab.table)
+    path = tmp_path / "promoted.json"
+    digests = []
+    for result in (promote_maxmatch(a, tok.vocab), promote_agnostic(a, tok.vocab),
+                   promote_bpe(a, tok)):
+        save_automaton(result.dfa, path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == [
+        "fc3b33fb21e44d9a9f07d48cae423754fd8d623b1a1a8fbf818954ae43310137",
+        "8756bfd9cedd76c1cf30a55b6313411476ffdae554791a1c25d820f15fedaff5",
+        "dcd2eb1c1638e2456e41056ee9580ff090f869b94a30dcdc9ab16bcf54907ad8",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from tokfst import (
     maxmatch_tokenize,
 )
 
-from helpers import merge_list_pass, random_merge_tokenizer, random_vocab
+from helpers import identifiers, merge_list_pass, random_merge_tokenizer, random_vocab
 
 BANANAS = Vocabulary.from_tokens(["a", "b", "n", "s", "ba", "na", "ban", "bana"])
 ABAB = Vocabulary.from_tokens(["a", "b", "ab", "aba"])
@@ -305,20 +305,6 @@ def test_train_output_tokenizes_its_own_corpus():
             assert not set(zip(out, out[1:])) & set(tok.merges)
         for x, y in tok.merge_tokens():
             assert words(tok.vocab, tok.tokenize(x + y)) == [x + y]
-
-
-def identifiers(seed, n):
-    """`n` snake_case identifiers of one to three parts, some with a digit."""
-    rng = random.Random(seed)
-    parts = ("get set user name id data file path max min count item list key "
-             "value node tmp x y").split()
-    out = []
-    for _ in range(n):
-        ident = "_".join(rng.choice(parts) for _ in range(rng.randint(1, 3)))
-        if rng.random() < 0.2:
-            ident += str(rng.randrange(10))
-        out.append(ident)
-    return out
 
 
 def test_train_output_is_pinned():
