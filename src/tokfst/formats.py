@@ -5,7 +5,12 @@ The interchange format is a JSON document with five fields. `symbols` lists
 token strings in id order (index = id - 2; ids 0 and 1 are reserved for the
 empty and failure symbols), `finals` is sorted, and `transitions` is a
 lexicographically sorted list of [src, input, output, dst] records, so equal
-machines serialize to byte-equal files.
+machines serialize to byte-equal files. The layout is exactly that of
+`json.dumps(doc, ensure_ascii=False, indent=1)` plus a newline, but
+`save_automaton` renders it with `%` templates and `json`'s C string encoder,
+not the pure-Python encoder an indent selects. Symbols must be encodable as
+UTF-8: `SymbolTable` refuses a lone surrogate, so no table reaches a file it
+cannot be written to.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import AlphabetError, ValidationError
@@ -84,15 +90,33 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+_ROW = "[\n   %d,\n   %d,\n   %d,\n   %d\n  ]"
+_DOC = ('{\n "symbols": %s,\n "num_states": %d,\n "start": %d,\n'
+        ' "finals": %s,\n "transitions": %s\n}\n')
+
+
+def _block(items: list[str]) -> str:
+    """A list of rendered items as `json.dumps(..., indent=1)` lays it out
+    one level deep."""
+    return "[\n  " + ",\n  ".join(items) + "\n ]" if items else "[]"
+
+
 def save_automaton(m: Fst, path: str | Path) -> None:
-    doc = {
-        "symbols": list(m.table.tokens),
-        "num_states": m.num_states,
-        "start": m.start,
-        "finals": sorted(m.finals),
-        "transitions": [[q, *arc] for q in sorted(m.arcs) for arc in m.arcs[q]],
-    }
-    _atomic_write(path, json.dumps(doc, ensure_ascii=False, indent=1) + "\n")
+    """Write `m` in the interchange format, in the layout of `json.dumps(doc,
+    ensure_ascii=False, indent=1)` plus a newline (see the module docstring)."""
+    flat: list[int] = []
+    for q in sorted(m.arcs):
+        for arc in m.arcs[q]:
+            flat.append(q)
+            flat += arc
+    text = _DOC % (
+        _block(list(map(encode_basestring, m.table.tokens))),
+        m.num_states,
+        m.start,
+        _block(["%d" % q for q in sorted(m.finals)]),
+        _block([_ROW] * (len(flat) // 4)) % tuple(flat),
+    )
+    _atomic_write(path, text)
 
 
 def load_automaton(path: str | Path) -> Dfa:
@@ -159,11 +183,15 @@ def export_dot(m: Fst, path: str | Path | None = None) -> str:
         shape = "doublecircle" if q in m.finals else "circle"
         lines.append(f"  {q} [shape={shape}];")
     lines.append(f"  hidden -> {m.start};")
+    labels = {}  # one escaped label per distinct (input, output) pair
+    for arcs in m.arcs.values():
+        for inp, out, _ in arcs:
+            if (inp, out) not in labels:
+                label = f"{table.display(inp)}:{table.display(out)}"
+                labels[inp, out] = label.replace("\\", "\\\\").replace('"', '\\"')
     for q in sorted(m.arcs):
         for inp, out, dst in m.arcs[q]:
-            label = f"{table.display(inp)}:{table.display(out)}"
-            label = label.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  {q} -> {dst} [label="{label}"];')
+            lines.append(f'  {q} -> {dst} [label="{labels[inp, out]}"];')
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if path is not None:

@@ -134,12 +134,13 @@ class Fst:
 
     @cached_property
     def _live(self) -> Collection[int]:
-        """States reachable from the start that can also reach a final state."""
+        """States reachable from the start that can also reach a final state.
+        Both walks follow each state's distinct targets, not its arcs."""
+        fwd = {q: {dst for _, _, dst in arcs} for q, arcs in self.arcs.items()}
         bwd: dict[int, list[int]] = defaultdict(list)
-        for q, arcs in self.arcs.items():
-            for _, _, dst in arcs:
+        for q, dsts in fwd.items():
+            for dst in dsts:
                 bwd[dst].append(q)
-        fwd = {q: [dst for _, _, dst in arcs] for q, arcs in self.arcs.items()}
         return _reach([self.start], fwd) & _reach(self.finals, bwd)
 
     @cached_property

@@ -19,7 +19,8 @@ _DISPLAY = {EPSILON: "ε", FAILURE: "φ"}
 
 
 class SymbolTable:
-    """Immutable bijection between token strings and ids >= 2."""
+    """Immutable bijection between token strings and ids >= 2. Tokens are
+    non-empty, distinct and encodable as UTF-8."""
 
     def __init__(self, tokens=()):
         self._tokens: tuple[str, ...] = tuple(tokens)
@@ -30,6 +31,11 @@ class SymbolTable:
             if tok in self._ids:
                 raise AlphabetError(f"duplicate token {tok!r}")
             self._ids[tok] = i + RESERVED
+        try:  # one pass over all the text; a lone surrogate has no UTF-8 form
+            "".join(self._tokens).encode("utf-8")
+        except UnicodeEncodeError:
+            bad = next(t for t in self._tokens if any("\ud800" <= c <= "\udfff" for c in t))
+            raise AlphabetError(f"token {bad!r} cannot be encoded as UTF-8") from None
         self._char_ids = frozenset(i for t, i in self._ids.items() if len(t) == 1)
 
     @property

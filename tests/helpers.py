@@ -8,10 +8,12 @@ large is simply redrawn.
 
 from __future__ import annotations
 
+import json
 import random
 
 from tokfst import (
     EPSILON,
+    FAILURE,
     BpeTokenizer,
     Dfa,
     EnumerationError,
@@ -259,6 +261,80 @@ def random_transducer(rng: random.Random, table: SymbolTable, max_states: int = 
         arcs.append(Transition(src, inp, out, rng.randrange(n)))
     finals = frozenset(q for q in range(n) if rng.random() < 0.5) or frozenset({n - 1})
     return Fst(table, n, 0, finals, tuple(arcs))
+
+
+# characters a writer must escape or pass through: quotes, backslashes,
+# control characters, the DOT label separator and non-ASCII text
+ODD_CHARS = ("a", "b", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", ":", " ",
+             "é", "ε", "φ", "中", "😀", "\u2028")
+
+
+def random_file_machine(rng: random.Random) -> Fst:
+    """A machine for the file-writer oracles: up to 6 tokens of `ODD_CHARS`,
+    possibly none, then either a `Dfa` or an `Fst` whose arcs may carry ε on
+    either side and φ on input, at most one φ per state. Finals may be empty;
+    one draw in ten has no arcs."""
+    tokens = dict.fromkeys("".join(rng.choices(ODD_CHARS, k=rng.randint(1, 3)))
+                           for _ in range(rng.randint(0, 6)))
+    table = SymbolTable(tokens)
+    syms = sorted(table.token_ids())
+    n = rng.randint(1, 6)
+    start = rng.randrange(n)
+    finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+    roll = rng.random()
+    if roll < 0.1:
+        return Fst(table, n, start, finals, ())
+    if roll < 0.55:
+        arcs = [Transition(q, s, s, rng.randrange(n))
+                for q in range(n) for s in syms if rng.random() < 0.5]
+        return Dfa(table, n, start, finals, arcs)
+    arcs, failing = [], set()
+    for _ in range(rng.randint(1, 3 * n)):
+        q = rng.randrange(n)
+        inp = rng.choice([EPSILON, FAILURE, *syms])
+        if inp == FAILURE:
+            if q in failing:
+                continue
+            failing.add(q)
+        arcs.append(Transition(q, inp, rng.choice([EPSILON, *syms]), rng.randrange(n)))
+    return Fst(table, n, start, finals, arcs)
+
+
+def saved_text(m: Fst) -> str:
+    """The interchange file as `json.dumps` lays it out: the text that
+    `save_automaton` must write, byte for byte."""
+    doc = {
+        "symbols": list(m.table.tokens),
+        "num_states": m.num_states,
+        "start": m.start,
+        "finals": sorted(m.finals),
+        "transitions": [[q, *arc] for q in sorted(m.arcs) for arc in m.arcs[q]],
+    }
+    return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"
+
+
+def dot_text(m: Fst) -> str:
+    """DOT with each arc's label rendered and escaped on its own: the text
+    that `export_dot` must return."""
+    table = m.table
+    lines = [
+        "digraph fst {",
+        "  rankdir=LR;",
+        '  hidden [shape=point, style=invis];',
+    ]
+    shown = {m.start, *m.finals, *m.arcs}
+    shown.update(dst for arcs in m.arcs.values() for _, _, dst in arcs)
+    for q in sorted(shown):
+        shape = "doublecircle" if q in m.finals else "circle"
+        lines.append(f"  {q} [shape={shape}];")
+    lines.append(f"  hidden -> {m.start};")
+    for q in sorted(m.arcs):
+        for inp, out, dst in m.arcs[q]:
+            label = f"{table.display(inp)}:{table.display(out)}"
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {q} -> {dst} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def random_vocab(rng: random.Random, chars: str, extra: int) -> Vocabulary:

@@ -1,6 +1,7 @@
 """File formats and the command line, driven in-process."""
 
 import json
+import random
 import re
 import time
 
@@ -8,6 +9,8 @@ import pytest
 
 import tokfst.promote
 from tokfst import (
+    EPSILON,
+    FAILURE,
     AlphabetError,
     ConfigError,
     PromotionResult,
@@ -28,6 +31,8 @@ from tokfst import (
 from tokfst.cli import main
 from tokfst.fst import Dfa, Fst, Transition
 from tokfst.lexicon import build_merge_gadget
+
+from helpers import dot_text, random_file_machine, saved_text
 
 FIG2 = ["a", "b", "n", "s", "ba", "na", "ban", "bana"]
 FIG3_VOCAB = ["t", "o", "p", "l", "g", "y", "to", "gy", "lo", "po", "logy"]
@@ -192,12 +197,38 @@ def test_saved_form_is_stable_and_readable(tmp_path):
      ' "transitions": []}', "finals: expected a list of integers"),
     ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
      ' "transitions": [[false, 2, 2, 0]]}', r"transition .*src=False.* is not an integer"),
+    # valid JSON, but a lone surrogate has no UTF-8 form to write back
+    ('{"symbols": ["a", "\\ud800"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": []}', r"symbols: token '\\ud800' cannot be encoded as UTF-8"),
 ])
 def test_load_automaton_rejects_corruption(tmp_path, doc, fragment):
     path = tmp_path / "m.json"
     path.write_text(doc)
     with pytest.raises(ValidationError, match=fragment):
         load_automaton(path)
+
+
+def test_writers_match_their_oracles(tmp_path):
+    # 3,000 seeded machines: the saved bytes are `json.dumps(..., indent=1)`'s
+    # and the DOT text is the per-arc renderer's
+    rng = random.Random(2323)
+    path = tmp_path / "m.json"
+    seen = set()
+    for _ in range(3000):
+        m = random_file_machine(rng)
+        save_automaton(m, path)
+        assert path.read_bytes() == saved_text(m).encode("utf-8")
+        assert export_dot(m) == dot_text(m)
+        text = "".join(m.table.tokens)
+        inputs = {inp for arcs in m.arcs.values() for inp, _, _ in arcs}
+        seen.update(name for name, hit in (
+            ("empty table", not m.table), ("no finals", not m.finals),
+            ("no arcs", not m.arcs), ("epsilon", EPSILON in inputs),
+            ("failure", FAILURE in inputs), ("quote", '"' in text),
+            ("backslash", "\\" in text), ("control", any(c < " " for c in text)),
+            ("non-ASCII", not text.isascii()),
+        ) if hit)
+    assert len(seen) == 9, seen
 
 
 def test_load_automaton_requires_a_clean_acceptor(tmp_path):
@@ -233,6 +264,18 @@ def test_load_automaton_rejects_json_the_parser_gives_up_on(tmp_path, capsys, te
     code, out, err = run_cli(capsys, "mask", "--automaton", path)
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+def test_cli_reports_a_token_it_could_not_write(tmp_path, capsys):
+    # the file is valid JSON, so only the symbol table can turn it away
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"symbols": ["a", "\\ud800"], "num_states": 2, "start": 0,'
+                    ' "finals": [1], "transitions": [[0, 3, 3, 1]]}')
+    for command in ("mask", "dot"):
+        code, out, err = run_cli(capsys, command, "--automaton", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: symbols: ")
+        assert "Traceback" not in err
 
 
 def test_empty_automaton_round_trips(tmp_path):

@@ -47,6 +47,15 @@ def test_bad_construction():
         SymbolTable([""])
 
 
+def test_tokens_must_be_encodable_as_utf8():
+    with pytest.raises(AlphabetError, match=r"token '\\ud800' cannot be encoded as UTF-8"):
+        SymbolTable(["a", "\ud800"])
+    # the halves of a surrogate pair are lone surrogates each, even side by side
+    with pytest.raises(AlphabetError, match="ud83d"):
+        SymbolTable(["\ud83d", "\ude00"])
+    assert SymbolTable(["😀", "é"]).id("😀") == 2
+
+
 def test_equality_is_by_token_sequence():
     assert SymbolTable(["a", "b"]) == SymbolTable(["a", "b"])
     assert SymbolTable(["a", "b"]) != SymbolTable(["b", "a"])
