@@ -54,7 +54,12 @@ class Fst:
     def __post_init__(self):
         """Check a machine given by a caller and store its arcs; operations
         use `_trusted` instead, because valid operands yield valid results."""
-        object.__setattr__(self, "finals", frozenset(self.finals))
+        if not isinstance(self.table, SymbolTable):
+            raise ValueError(f"table must be a SymbolTable, not {type(self.table).__name__}")
+        try:
+            object.__setattr__(self, "finals", frozenset(self.finals))
+        except TypeError:
+            raise ValueError(f"finals {self.finals!r} are not a collection of states") from None
         # `type(...) is int` also rejects bools, as `load_automaton` does
         if type(self.num_states) is not int or type(self.start) is not int:
             raise ValueError("num_states and start must be integers")
@@ -70,8 +75,15 @@ class Fst:
         end = RESERVED + len(self.table)
         deterministic = isinstance(self, Dfa)
         by_src: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        for row in self.arcs:
-            src, inp, out, dst = row
+        try:
+            rows = iter(self.arcs)
+        except TypeError:
+            raise ValueError(f"transitions {self.arcs!r} are not a collection of rows") from None
+        for row in rows:
+            try:
+                src, inp, out, dst = row
+            except (TypeError, ValueError):
+                raise ValueError(f"transition {row!r} is not a (src, inp, out, dst) row") from None
             if not type(src) is type(inp) is type(out) is type(dst) is int:
                 problem = "has a field that is not an integer"
             elif not (0 <= src < self.num_states and 0 <= dst < self.num_states):
@@ -87,7 +99,7 @@ class Fst:
             else:
                 by_src[src].append((inp, out, dst))
                 continue
-            raise ValueError(f"transition {Transition(*row)} {problem}")
+            raise ValueError(f"transition {Transition(src, inp, out, dst)} {problem}")
         arcs = {q: tuple(sorted(q_arcs)) for q, q_arcs in by_src.items()}
         for q, q_arcs in arcs.items():  # equal inputs are adjacent once sorted
             for (inp, _, _), (nxt, _, _) in zip(q_arcs, q_arcs[1:]):
@@ -321,10 +333,10 @@ def epsilon_remove(a: Fst) -> Fst:
 
 
 def determinize(a: Fst) -> Dfa:
-    """Subset construction over an epsilon-free acceptor."""
+    """Subset construction over a failure-free acceptor that follows its
+    epsilon arcs. States are numbered breadth first over sorted labels, so
+    the result is in canonical form."""
     _require_acceptor(a, "determinize")
-    if any(a._eps_next.values()):
-        raise ConfigError("determinize expects an epsilon-free acceptor")
     return _output_subsets(a)[0]
 
 

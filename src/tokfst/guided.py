@@ -38,6 +38,8 @@ class ConstraintState:
 
 
 def constraint_begin(d: Dfa) -> ConstraintState:
+    if not isinstance(d, Dfa):
+        raise ConfigError("the constraint automaton must be a Dfa; convert it with Dfa.from_fst")
     if not d.finals:
         raise DeadConstraintError("the constraint automaton accepts nothing")
     if trim(d).num_states != d.num_states:
@@ -72,7 +74,7 @@ class StubLM:
     candidate)."""
 
     def __init__(self, seed: int = 0):
-        if not isinstance(seed, int) or not -2**63 <= seed < 2**63:
+        if type(seed) is not int or not -2**63 <= seed < 2**63:
             raise ConfigError(f"seed must be an int in signed 64-bit range, got {seed!r}")
         self.seed = seed
         self._key: tuple | None = None  # (seed, context) last hashed; a copy of the context
@@ -107,7 +109,9 @@ def constrained_decode(
 
     retokenize_with enables the stop-detokenize-retokenize mitigation: after
     every step the prefix is replaced by its canonical tokenization, replayed
-    through the automaton.
+    through the automaton. Under a mask promoted in bpe or maxmatch mode for
+    the same tokenizer it changes nothing, since a prefix of a canonical
+    tokenization is canonical for its own text; it pays under agnostic masks.
     """
     check_count("max_steps", max_steps)
     state = constraint_begin(d)

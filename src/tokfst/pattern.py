@@ -7,13 +7,15 @@ quantifiers `*`, `+`, `?`.
 
 A pattern is compiled in one pass, as Thompson's construction was: each
 grammar rule emits its automaton fragment while it reads, so no syntax tree
-is built. The fragments form an epsilon NFA, which is then made
-deterministic and minimal.
+is built. The fragments form an epsilon NFA; one subset construction, which
+follows the epsilon arcs as it walks, makes it deterministic, and `minimize`
+makes it minimal.
 """
 
 from __future__ import annotations
 
 from .errors import AlphabetError, PatternSyntaxError
+# epsilon_remove: bound for perfbench/tracing.py to patch
 from .fst import Dfa, Fst, determinize, epsilon_remove, minimize
 from .symbols import EPSILON, SymbolTable
 
@@ -191,4 +193,4 @@ def compile_pattern(text: str, table: SymbolTable) -> Dfa:
     Every arc symbol is a single-character token id from `table`.
     """
     nfa = _Compiler(text, table).compile()
-    return minimize(determinize(epsilon_remove(nfa)))
+    return minimize(determinize(nfa))

@@ -222,6 +222,7 @@ def test_pipeline_preserves_language_randomized():
         cleaned = epsilon_remove(m)
         assert enumerate_language(cleaned, 6) == reference
         det = determinize(cleaned)
+        assert determinize(m) == det
         assert Dfa.from_fst(det) == det
         assert enumerate_language(det, 6) == reference
         small = minimize(det)
@@ -451,6 +452,15 @@ def test_enumeration_budget():
 
 
 def test_determinize_requires_clean_acceptor():
-    with_eps = Fst(AB, 2, 0, frozenset({1}), (Transition(0, EPSILON, EPSILON, 1),))
-    with pytest.raises(ConfigError):
-        determinize(with_eps)
+    with_eps = Fst(AB, 3, 0, frozenset({2}), (
+        Transition(0, EPSILON, EPSILON, 1),
+        Transition(1, A, A, 2),
+    ))
+    assert determinize(with_eps) == determinize(epsilon_remove(with_eps))
+    assert enumerate_language(determinize(with_eps), 2) == {(A,)}
+    with_phi = Fst(AB, 2, 0, frozenset({1}), (Transition(0, FAILURE, EPSILON, 1),))
+    with pytest.raises(ConfigError, match="failure-free"):
+        determinize(with_phi)
+    transducer = Fst(AB, 2, 0, frozenset({1}), (Transition(0, A, B, 1),))
+    with pytest.raises(ConfigError, match="expects an acceptor"):
+        determinize(transducer)

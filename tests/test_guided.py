@@ -15,6 +15,7 @@ from tokfst import (
     ConstraintViolationError,
     DeadConstraintError,
     Dfa,
+    Fst,
     IncompleteGenerationError,
     StubLM,
     Transition,
@@ -30,7 +31,7 @@ from tokfst import (
     promote_maxmatch,
 )
 
-from helpers import random_pattern_dfa, random_vocab
+from helpers import agnostic_instances, bpe_instances, random_pattern_dfa, random_vocab
 
 RACE = Vocabulary.from_tokens(["r", "a", "c", "e", "race", "car", "ce"])
 
@@ -128,6 +129,16 @@ def test_begin_rejects_unusable_constraints():
               (Transition(0, RACE.table.id("r"), RACE.table.id("r"), 1),))
     with pytest.raises(ConfigError):
         constraint_begin(bad)
+    # a machine that is not a Dfa could hand out ε or follow one of two arcs
+    t = RACE.table
+    r, a = t.ids(["r", "a"])
+    for m in (Fst(t, 2, 0, {1}, [(0, 0, 0, 1)]),
+              Fst(t, 3, 0, {1, 2}, [(0, r, r, 1), (0, r, r, 2), (2, a, a, 2)]),
+              Fst(t, 2, 0, {1}, [(0, r, a, 1)])):
+        with pytest.raises(ConfigError, match="Dfa.from_fst"):
+            constraint_begin(m)
+        with pytest.raises(ConfigError, match="Dfa.from_fst"):
+            constrained_decode(StubLM(0), m, 3)
 
 
 def test_promoted_constraints_skip_the_trim_walk(monkeypatch):
@@ -167,7 +178,7 @@ def test_stub_lm_is_a_pure_function_of_seed_context_candidate():
 
 
 def test_stub_lm_seed_must_be_a_signed_64_bit_int():
-    for seed in (2**63, -2**63 - 1, 2**70, 1.5, "x", None):
+    for seed in (2**63, -2**63 - 1, 2**70, 1.5, "x", None, True, False):
         with pytest.raises(ConfigError):
             StubLM(seed)
     for seed in (2**63 - 1, -2**63):
@@ -236,6 +247,31 @@ def test_retokenization_pulls_the_decode_back_on_track():
     canonical = lambda text: maxmatch_tokenize(text, RACE)
     fixed = constrained_decode(StubLM(1), d, retokenize_with=canonical)
     assert names(fixed) == ["race", "car"]
+
+
+def _decode_outcome(lm, d, retokenize_with):
+    try:
+        return constrained_decode(lm, d, 24, retokenize_with=retokenize_with), True
+    except IncompleteGenerationError as e:
+        return e.prefix, False
+
+
+def test_retokenization_changes_nothing_under_exact_masks():
+    """A prefix of a canonical BPE or longest-match tokenization is canonical
+    for its own text, so under a mask promoted for the same tokenizer,
+    retokenizing never rewrites the decode: on the seeded bpe instances and
+    the agnostic instances' patterns promoted in maxmatch mode, seeds 0-4."""
+    cases = [(result.dfa, tok.tokenize) for _, tok, result in bpe_instances()]
+    cases += [(promote_maxmatch(a, v).dfa, lambda text, v=v: maxmatch_tokenize(text, v))
+              for a, v, _ in agnostic_instances()]
+    multi_token = 0
+    for d, tokenize in cases:
+        for seed in range(5):
+            plain = _decode_outcome(StubLM(seed), d, None)
+            assert _decode_outcome(StubLM(seed), d, tokenize) == plain
+            out, complete = plain
+            multi_token += complete and len(out) > 1
+    assert multi_token > 250
 
 
 def test_end_of_sequence_competes_with_the_best_token():

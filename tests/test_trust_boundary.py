@@ -59,14 +59,25 @@ near = st.integers(0, 3)  # ids and states that are mostly valid for 4 states
 acceptor_row = st.tuples(near, st.integers(2, 3), near).map(lambda r: (r[0], r[1], r[1], r[2]))
 # small ints, and floats and bools that compare like them but are not ints
 loose = small | st.booleans() | st.floats(-2, 6)
-# (num_states, start, finals, rows): any small numbers, or mostly valid ones
+# rows of 3 or 5 fields, and rows that are not tuples at all
+malformed_row = st.tuples(near, near, near) | st.tuples(near, near, near, near, near) | loose
+# (table, num_states, start, finals, rows): any small numbers, mostly valid
+# ones, or a table, finals or rows of the wrong shape
 machines = st.tuples(
-    loose, loose, st.lists(loose, max_size=3), st.lists(st.tuples(loose, loose, loose, loose), max_size=8)
+    st.just(TABLE), loose, loose, st.lists(loose, max_size=3),
+    st.lists(st.tuples(loose, loose, loose, loose), max_size=8),
 ) | st.tuples(
+    st.just(TABLE),
     st.just(4),
     near,
     st.lists(near, max_size=3),
     st.lists(st.tuples(near, near, near, near), max_size=8) | st.lists(acceptor_row, max_size=6),
+) | st.tuples(
+    st.just(TABLE) | st.sampled_from(["ab", None, ("a", "b")]),
+    st.just(4),
+    near,
+    st.lists(near, max_size=3) | loose,
+    st.lists(acceptor_row | malformed_row, max_size=6) | loose,
 )
 scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
 json_values = st.recursive(
@@ -99,11 +110,13 @@ def test_load_automaton_raises_only_typed_errors(tmp_path, content):
 @FUZZ
 @given(st.sampled_from([Fst, Dfa]), machines)
 def test_constructors_raise_only_value_errors(cls, machine):
-    num_states, start, finals, arcs = machine
+    table, num_states, start, finals, arcs = machine
     try:
-        m = cls(TABLE, num_states, start, frozenset(finals), arcs)
+        m = cls(table, num_states, start, finals, arcs)
     except ValueError:
         return
+    assert table is TABLE
+    assert all(type(row) is tuple and len(row) == 4 for row in arcs)
     assert all(type(x) is int for x in (num_states, start, *finals, *(x for row in arcs for x in row)))
     assert m.transitions == tuple(sorted(Transition(*row) for row in arcs))
     assert cls(TABLE, num_states, start, frozenset(finals), arcs[::-1]) == m
