@@ -145,15 +145,9 @@ def load_automaton(path: str | Path) -> Dfa:
     transitions = doc["transitions"]
     if not isinstance(transitions, list):
         raise ValidationError(f"{path}: transitions: expected a list")
-    for n, row in enumerate(transitions):  # `Dfa` checks that the fields are ints
-        if not (type(row) is list and len(row) == 4):
-            raise ValidationError(f"{path}: transitions[{n}]: expected 4 integers")
 
     try:
         table = SymbolTable(tuple(symbols))
-    except AlphabetError as exc:
-        raise ValidationError(f"{path}: symbols: {exc}") from exc
-    try:
         return Dfa(
             table,
             doc["num_states"],
@@ -161,8 +155,15 @@ def load_automaton(path: str | Path) -> Dfa:
             frozenset(doc["finals"]),
             transitions,
         )
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    except (AlphabetError, ValueError) as exc:
+        # A JSON row that is not a list of 4 fails `Dfa` too: a string or an
+        # object unpacks to strings, anything else not at all. So only a file
+        # that fails looks for such a row, and that row's error comes first.
+        for n, row in enumerate(transitions):
+            if not (type(row) is list and len(row) == 4):
+                raise ValidationError(f"{path}: transitions[{n}]: expected 4 integers") from None
+        where = "symbols: " if isinstance(exc, AlphabetError) else ""
+        raise ValidationError(f"{path}: {where}{exc}") from exc
 
 
 def export_dot(m: Fst, path: str | Path | None = None) -> str:

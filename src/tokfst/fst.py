@@ -72,6 +72,7 @@ class Fst:
                 raise ValueError(f"final state {q!r} is not an integer")
             if not 0 <= q < self.num_states:
                 raise ValueError(f"final state {q} out of range")
+        n = self.num_states
         end = RESERVED + len(self.table)
         deterministic = isinstance(self, Dfa)
         by_src: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
@@ -84,9 +85,19 @@ class Fst:
                 src, inp, out, dst = row
             except (TypeError, ValueError):
                 raise ValueError(f"transition {row!r} is not a (src, inp, out, dst) row") from None
+            # A valid row passes this one test. An `Fst` input is ε, φ or a
+            # token, the ids below `end` (EPSILON and FAILURE are 0 and 1); an
+            # output is ε or a token. A `Dfa` arc is a token on both sides.
+            if (type(src) is int and type(inp) is int and type(out) is int and type(dst) is int
+                    and 0 <= src < n and 0 <= dst < n
+                    and (RESERVED <= inp < end and inp == out if deterministic
+                         else EPSILON <= inp < end and (RESERVED <= out < end or out == EPSILON))):
+                by_src[src].append((inp, out, dst))
+                continue
+            # a row that fails it is named by the first of these checks
             if not type(src) is type(inp) is type(out) is type(dst) is int:
                 problem = "has a field that is not an integer"
-            elif not (0 <= src < self.num_states and 0 <= dst < self.num_states):
+            elif not (0 <= src < n and 0 <= dst < n):
                 problem = "references a missing state"
             elif inp != EPSILON and inp != FAILURE and not RESERVED <= inp < end:
                 problem = "has an unknown input symbol"
@@ -94,19 +105,20 @@ class Fst:
                 problem = "has an invalid output symbol"
             elif deterministic and inp in (EPSILON, FAILURE):
                 problem = "is not allowed in a deterministic acceptor"
-            elif deterministic and inp != out:
+            else:  # deterministic and inp != out, as the test failed
                 problem = "is not an acceptor arc"
-            else:
-                by_src[src].append((inp, out, dst))
-                continue
             raise ValueError(f"transition {Transition(src, inp, out, dst)} {problem}")
         arcs = {q: tuple(sorted(q_arcs)) for q, q_arcs in by_src.items()}
-        for q, q_arcs in arcs.items():  # equal inputs are adjacent once sorted
-            for (inp, _, _), (nxt, _, _) in zip(q_arcs, q_arcs[1:]):
-                if inp == nxt == FAILURE:
-                    raise ValueError(f"state {q} has more than one failure arc")
-                if inp == nxt and deterministic:
-                    raise ValueError(f"state {q} has two arcs on symbol {inp}")
+        for q, q_arcs in arcs.items():
+            inputs = tuple(map(itemgetter(0), q_arcs))
+            # a `Dfa` has distinct inputs, none of them φ; any other machine
+            # at most one φ. Equal inputs are adjacent once sorted.
+            if deterministic:
+                if len(set(inputs)) < len(inputs):
+                    sym = next(a for a, b in zip(inputs, inputs[1:]) if a == b)
+                    raise ValueError(f"state {q} has two arcs on symbol {sym}")
+            elif inputs.count(FAILURE) > 1:
+                raise ValueError(f"state {q} has more than one failure arc")
         object.__setattr__(self, "arcs", arcs)
 
     @classmethod

@@ -23,7 +23,10 @@ class SymbolTable:
     non-empty, distinct and encodable as UTF-8."""
 
     def __init__(self, tokens=()):
-        self._tokens: tuple[str, ...] = tuple(tokens)
+        try:
+            self._tokens: tuple[str, ...] = tuple(tokens)
+        except TypeError:
+            raise AlphabetError(f"tokens {tokens!r} are not a collection of strings") from None
         self._ids: dict[str, int] = {}
         for i, tok in enumerate(self._tokens):
             if not isinstance(tok, str) or not tok:
@@ -45,20 +48,27 @@ class SymbolTable:
     def id(self, token: str) -> int:
         try:
             return self._ids[token]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a value that cannot be hashed
             raise AlphabetError(f"token {token!r} is not in the symbol table") from None
 
     def token(self, sym: int) -> str:
-        if sym in _DISPLAY or not RESERVED <= sym < RESERVED + len(self._tokens):
-            raise AlphabetError(f"id {sym} does not name a token")
+        # `type(...) is int` also refuses bools and floats that equal an id
+        if type(sym) is not int or not RESERVED <= sym < RESERVED + len(self._tokens):
+            raise AlphabetError(f"id {sym!r} does not name a token")
         return self._tokens[sym - RESERVED]
 
     def display(self, sym: int) -> str:
         """Printable form of any symbol id, rendering the reserved ids literally."""
-        return _DISPLAY.get(sym) or self.token(sym)
+        if type(sym) is int and sym in _DISPLAY:
+            return _DISPLAY[sym]
+        return self.token(sym)
 
     def ids(self, tokens) -> tuple[int, ...]:
-        return tuple(self.id(t) for t in tokens)
+        try:
+            tokens = iter(tokens)
+        except TypeError:
+            raise AlphabetError(f"tokens {tokens!r} are not a sequence of tokens") from None
+        return tuple(map(self.id, tokens))
 
     def char_ids(self) -> frozenset[int]:
         """Ids of the single-character tokens (the character alphabet)."""
@@ -68,7 +78,10 @@ class SymbolTable:
         return frozenset(range(RESERVED, RESERVED + len(self._tokens)))
 
     def __contains__(self, token: str) -> bool:
-        return token in self._ids
+        try:
+            return token in self._ids
+        except TypeError:  # a value that cannot be hashed is no token
+            return False
 
     def __len__(self) -> int:
         return len(self._tokens)

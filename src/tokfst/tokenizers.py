@@ -231,10 +231,11 @@ class BpeTokenizer:
     ) -> "BpeTokenizer":
         table = vocab.table
         try:
-            merges = tuple(table.ids(pair) for pair in pairs)
+            pairs = tuple(map(tuple, pairs))
+            hash(pairs)  # a token that is a list, say, is no token pair either
         except TypeError:
             raise ConfigError("merges must be a sequence of token pairs") from None
-        return cls(vocab, merges)
+        return cls(vocab, tuple(map(table.ids, pairs)))
 
     @cached_property
     def bigram_tables(self) -> BigramTables:

@@ -39,6 +39,7 @@ from tokfst import (
 )
 from tokfst.fst import _output_subsets
 from tokfst.lexicon import TokenTrie, build_token_trie
+from tokfst.symbols import RESERVED
 
 # ---------------------------------------------------------------------------
 # small machine constructors
@@ -298,6 +299,48 @@ def random_file_machine(rng: random.Random) -> Fst:
             failing.add(q)
         arcs.append(Transition(q, inp, rng.choice([EPSILON, *syms]), rng.randrange(n)))
     return Fst(table, n, start, finals, arcs)
+
+
+def checked_arcs(deterministic: bool, table: SymbolTable, num_states: int, rows) -> dict:
+    """The arcs `Fst(...)` (or `Dfa(...)`) stores for these rows, or the
+    ValueError it raises: every row walks the ordered checks and each
+    state's sorted arcs are compared pair by pair. The constructor must give
+    the same arcs, or the same message, from its one test per row."""
+    end = RESERVED + len(table)
+    by_src: dict[int, list[tuple[int, int, int]]] = {}
+    try:
+        rows = iter(rows)
+    except TypeError:
+        raise ValueError(f"transitions {rows!r} are not a collection of rows") from None
+    for row in rows:
+        try:
+            src, inp, out, dst = row
+        except (TypeError, ValueError):
+            raise ValueError(f"transition {row!r} is not a (src, inp, out, dst) row") from None
+        if not type(src) is type(inp) is type(out) is type(dst) is int:
+            problem = "has a field that is not an integer"
+        elif not (0 <= src < num_states and 0 <= dst < num_states):
+            problem = "references a missing state"
+        elif inp != EPSILON and inp != FAILURE and not RESERVED <= inp < end:
+            problem = "has an unknown input symbol"
+        elif out == FAILURE or (out != EPSILON and not RESERVED <= out < end):
+            problem = "has an invalid output symbol"
+        elif deterministic and inp in (EPSILON, FAILURE):
+            problem = "is not allowed in a deterministic acceptor"
+        elif deterministic and inp != out:
+            problem = "is not an acceptor arc"
+        else:
+            by_src.setdefault(src, []).append((inp, out, dst))
+            continue
+        raise ValueError(f"transition {Transition(src, inp, out, dst)} {problem}")
+    arcs = {q: tuple(sorted(q_arcs)) for q, q_arcs in by_src.items()}
+    for q, q_arcs in arcs.items():
+        for (inp, _, _), (nxt, _, _) in zip(q_arcs, q_arcs[1:]):
+            if inp == nxt == FAILURE:
+                raise ValueError(f"state {q} has more than one failure arc")
+            if inp == nxt and deterministic:
+                raise ValueError(f"state {q} has two arcs on symbol {inp}")
+    return arcs
 
 
 def saved_text(m: Fst) -> str:

@@ -29,6 +29,7 @@ from tokfst.fst import _output_subsets
 from tokfst.lexicon import build_failure_trie, build_maxmatch_transducer
 
 from helpers import (
+    checked_arcs,
     enumerate_pairs,
     line_dfa,
     minimal_state_count,
@@ -91,6 +92,86 @@ def test_dfa_rejects_non_dfa_shapes():
         Dfa(AB, 2, 0, frozenset(), (Transition(0, A, B, 1),))
     with pytest.raises(ValueError):
         Dfa(AB, 3, 0, frozenset(), (Transition(0, A, A, 1), Transition(0, A, A, 2)))
+
+
+def random_rows(rng: random.Random, table: SymbolTable, n: int, deterministic: bool):
+    """Up to 6 rows, mostly valid for an `n`-state machine of the given kind,
+    some with one or two faults: a bool, float or str field, a state out of
+    range, an unknown id, ε or φ on input, an input that differs from the
+    output, φ on output, a second arc on a state's input (φ included), 3 or
+    5 fields, or no row at all. One draw in 50 is not a collection of rows."""
+    if rng.random() < 0.02:
+        return rng.choice([None, 5, 2.5])
+    syms = sorted(table.token_ids())
+    end = syms[-1] + 1
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        src, dst = rng.randrange(n), rng.randrange(n)
+        if deterministic:
+            inp = out = rng.choice(syms)
+        else:
+            inp, out = rng.choice([EPSILON, FAILURE, *syms]), rng.choice([EPSILON, *syms])
+        row = [src, inp, out, dst]
+        for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+            at = rng.randrange(4)
+            fault = rng.randrange(9)
+            if fault == 0:
+                row[at] = rng.choice([True, False, float(row[at]), str(row[at])])
+            elif fault == 1:
+                row[rng.choice((0, 3))] = rng.choice([-1, n, n + 1])
+            elif fault == 2:
+                row[rng.choice((1, 2))] = rng.choice([-1, end, end + 1])
+            elif fault == 3:
+                row[1] = rng.choice([EPSILON, FAILURE])
+            elif fault == 4:
+                row[2] = rng.choice(syms)
+            elif fault == 5:
+                row[2] = FAILURE
+            elif fault == 6 and rows and type(rows[-1]) is tuple:  # a second arc on its input
+                row[0], row[1], row[2] = rows[-1][:3]
+            elif fault == 7:  # φ on input, twice
+                row[1] = FAILURE
+                rows.append(tuple(row))
+            elif fault == 8:
+                row = rng.choice([row[:3], row + [0], None, 7])
+                break
+        rows.append(tuple(row) if isinstance(row, list) else row)
+    return rows
+
+
+def test_validation_matches_the_ordered_checks():
+    # 3,000 seeded row lists per kind: the constructor's one test per row
+    # gives the arcs or the message of `checked_arcs`, which walks every check
+    messages = {
+        "are not a collection of rows", "is not a (src, inp, out, dst) row",
+        "has a field that is not an integer", "references a missing state",
+        "has an unknown input symbol", "has an invalid output symbol",
+        "is not allowed in a deterministic acceptor", "is not an acceptor arc",
+        "has two arcs on symbol", "has more than one failure arc",
+    }
+    rng = random.Random(2525)
+    for cls in (Fst, Dfa):
+        deterministic = cls is Dfa
+        seen = set()
+        for _ in range(3000):
+            table = SymbolTable(["a", "b", "ab"][:rng.randint(1, 3)])
+            n = rng.randint(1, 4)
+            rows = random_rows(rng, table, n, deterministic)
+            try:
+                expected = checked_arcs(deterministic, table, n, rows)
+            except ValueError as exc:
+                expected = str(exc)
+                seen.update(m for m in messages if m in expected)
+            try:
+                got = cls(table, n, 0, frozenset(), rows).arcs
+            except ValueError as exc:
+                assert type(exc) is ValueError
+                got = str(exc)
+            assert got == expected, (cls.__name__, rows)
+        unreachable = ({"has more than one failure arc"} if deterministic else
+                       {"is not allowed in a deterministic acceptor", "is not an acceptor arc",
+                        "has two arcs on symbol"})
+        assert seen == messages - unreachable, (cls.__name__, messages - unreachable - seen)
 
 
 def test_arcs_are_stored_per_state_and_sorted():

@@ -197,6 +197,23 @@ def test_saved_form_is_stable_and_readable(tmp_path):
      ' "transitions": []}', "finals: expected a list of integers"),
     ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
      ' "transitions": [[false, 2, 2, 0]]}', r"transition .*src=False.* is not an integer"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [[0, 2.0, 2, 0]]}', r"transition .*inp=2\.0.* is not an integer"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [[0, 2, 2, 0, 0]]}', r"transitions\[0\]: expected 4 integers"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [[0, 2, 2, 1]]}', r"transition .*dst=1.* references a missing state"),
+    ('{"symbols": ["a", "b"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [[0, 2, 3, 0]]}', r"transition .* is not an acceptor arc"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [[0, 0, 0, 0]]}', "is not allowed in a deterministic acceptor"),
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [[0, 2, 2, 0], [0, 2, 2, 0]]}', "state 0 has two arcs on symbol 2"),
+    # a row that is not four fields is named first, whatever else is wrong
+    ('{"symbols": ["a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [[0, 2, 2, 9], [0, 2]]}', r"transitions\[1\]: expected 4 integers"),
+    ('{"symbols": ["a", "a"], "num_states": 1, "start": 0, "finals": [0],'
+     ' "transitions": [{"a": 1}]}', r"transitions\[0\]: expected 4 integers"),
     # valid JSON, but a lone surrogate has no UTF-8 form to write back
     ('{"symbols": ["a", "\\ud800"], "num_states": 1, "start": 0, "finals": [0],'
      ' "transitions": []}', r"symbols: token '\\ud800' cannot be encoded as UTF-8"),

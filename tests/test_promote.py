@@ -38,6 +38,7 @@ from tokfst import (
     constrained_decode,
     enumerate_language,
     language_by_chars,
+    load_automaton,
     maxmatch_tokenize,
     minimize,
     promote_agnostic,
@@ -596,6 +597,7 @@ def test_promotions_at_scale_are_pinned(tmp_path):
                    promote_bpe(a, tok)):
         save_automaton(result.dfa, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert load_automaton(path) == result.dfa
     assert digests == [
         "fc3b33fb21e44d9a9f07d48cae423754fd8d623b1a1a8fbf818954ae43310137",
         "8756bfd9cedd76c1cf30a55b6313411476ffdae554791a1c25d820f15fedaff5",

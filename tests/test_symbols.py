@@ -60,3 +60,20 @@ def test_equality_is_by_token_sequence():
     assert SymbolTable(["a", "b"]) == SymbolTable(["a", "b"])
     assert SymbolTable(["a", "b"]) != SymbolTable(["b", "a"])
     assert hash(SymbolTable(["a", "b"])) == hash(SymbolTable(["a", "b"]))
+
+
+def test_values_that_are_not_ids_or_tokens_are_alphabet_errors():
+    # floats and bools equal to an id, strings, unhashable and non-iterable values
+    table = SymbolTable(("a", "b"))
+    for value in (2.0, True, "2", None, [2]):
+        for lookup in (table.token, table.display):
+            with pytest.raises(AlphabetError, match=r"^id .* does not name a token$"):
+                lookup(value)
+    with pytest.raises(AlphabetError, match=r"token \['a'\] is not in the symbol table"):
+        table.id(["a"])
+    for tokens in (5, [["a"]]):
+        with pytest.raises(AlphabetError):
+            table.ids(tokens)
+    assert ["a"] not in table
+    with pytest.raises(AlphabetError, match="tokens 5 are not a collection of strings"):
+        SymbolTable(5)

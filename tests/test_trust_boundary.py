@@ -71,7 +71,10 @@ machines = st.tuples(
     st.just(4),
     near,
     st.lists(near, max_size=3),
-    st.lists(st.tuples(near, near, near, near), max_size=8) | st.lists(acceptor_row, max_size=6),
+    st.lists(st.tuples(near, near, near, near), max_size=8) | st.lists(acceptor_row, max_size=6)
+    # integer rows, which pass the type test, around every state or id bound
+    | st.lists(acceptor_row | st.tuples(small, near, near, small) | st.tuples(near, small, small, near),
+               max_size=6),
 ) | st.tuples(
     st.just(TABLE) | st.sampled_from(["ab", None, ("a", "b")]),
     st.just(4),
@@ -105,6 +108,33 @@ def test_load_automaton_raises_only_typed_errors(tmp_path, content):
     except TokfstError:
         return
     assert isinstance(d, Dfa)
+
+
+SYMBOLS = SymbolTable(["a", "b", "ab"])
+
+
+@FUZZ
+@given(st.sampled_from(["token", "display", "id", "ids", "table"]),
+       st.integers(-1, 5) | st.text(alphabet="ab", max_size=3) | json_values
+       | st.lists(st.text(alphabet="ab", max_size=2) | scalars, max_size=3).map(tuple))
+def test_symbol_lookups_raise_only_alphabet_errors(lookup, value):
+    try:
+        if lookup == "table":
+            result = SymbolTable(value)
+        else:
+            result = getattr(SYMBOLS, lookup)(value)
+    except AlphabetError:
+        return
+    if lookup == "token":
+        assert type(value) is int and SYMBOLS.id(result) == value
+    elif lookup == "display":
+        assert type(value) is int and 0 <= value < 5 and isinstance(result, str)
+    elif lookup == "id":
+        assert SYMBOLS.token(result) == value
+    elif lookup == "ids":
+        assert tuple(map(SYMBOLS.token, result)) == tuple(value)
+    else:
+        assert result.tokens == tuple(value)
 
 
 @FUZZ
