@@ -12,9 +12,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 from .errors import (
+    AlphabetError,
     ConfigError,
     ConstraintViolationError,
     DeadConstraintError,
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .fst import Dfa, trim
 from .symbols import RESERVED
+from .tokenizers import BigramTables, BpeTokenizer
 
 END_OF_SEQUENCE = -1  # score-only sentinel, never a real symbol id
 
@@ -92,8 +94,15 @@ class StubLM:
         return int.from_bytes(h.digest(), "big") / 2.0**64
 
 
+class TokenScorer(Protocol):
+    """What decoding asks of a language model: a score for `candidate` (a
+    token id or END_OF_SEQUENCE) after the token ids of `context`."""
+
+    def score(self, context: Sequence[int], candidate: int) -> float: ...
+
+
 def constrained_decode(
-    lm: StubLM,
+    lm: TokenScorer,
     d: Dfa,
     max_steps: int = 64,
     *,
@@ -101,10 +110,12 @@ def constrained_decode(
 ) -> tuple[int, ...]:
     """Greedy decoding under the mask.
 
-    At every step the scorer ranks the allowed tokens; at terminable states
-    an end-of-sequence score competes with them and stops decoding when it
-    wins (or when nothing may follow). Hitting max_steps anywhere else is an
-    error carrying the prefix generated so far; a max_steps that is not a
+    `lm` is any object with `score(context, candidate)`, such as `StubLM`.
+    At every step it ranks the allowed tokens, the inputs of the state's
+    arcs; ties go to the lowest id. At terminable states an end-of-sequence
+    score competes with them and stops decoding when it wins (or when
+    nothing may follow). Hitting max_steps anywhere else is an error
+    carrying the prefix generated so far; a max_steps that is not a
     non-negative int is a ConfigError.
 
     retokenize_with enables the stop-detokenize-retokenize mitigation: after
@@ -112,35 +123,84 @@ def constrained_decode(
     through the automaton. Under a mask promoted in bpe or maxmatch mode for
     the same tokenizer it changes nothing, since a prefix of a canonical
     tokenization is canonical for its own text; it pays under agnostic masks.
+    A retokenizer that is not callable, or whose rewrite does not spell the
+    prefix's text in the automaton's token ids, is a ConfigError.
+
+    A bound `BpeTokenizer.tokenize` is not called on every step. Its prefix
+    is kept canonical, and a sequence is canonical iff each token is and each
+    adjacent pair is allowed (`BpeTokenizer.bigram_tables`). So when the new
+    token is canonical and may follow the one before it, the prefix is its
+    own tokenization and retokenizing would change nothing; `tokenize` runs
+    only when that check fails. The output is the same as calling it on
+    every step. Any other callable, a subclass's `tokenize` included, is
+    called on every step. The tokenizer must be over the automaton's table.
     """
     check_count("max_steps", max_steps)
-    state = constraint_begin(d)
+    if retokenize_with is not None and not callable(retokenize_with):
+        raise ConfigError(f"retokenize_with must be callable, got {retokenize_with!r}")
+    q = constraint_begin(d).state
+    pairs = _pair_check(d, retokenize_with)
+    arcs, finals, score = d.arcs, d.finals, lm.score
     out: list[int] = []
     for _ in range(max_steps):
-        allowed = sorted(allowed_tokens(state))
-        if state.terminable and not allowed:
+        moves = arcs.get(q, ())  # sorted by distinct input: the mask, ascending
+        if not moves and q in finals:
             return tuple(out)
-        scores = [lm.score(out, t) for t in allowed]
+        scores = [score(out, arc[0]) for arc in moves]
         top = max(scores)
-        if state.terminable and lm.score(out, END_OF_SEQUENCE) > top:
+        if q in finals and score(out, END_OF_SEQUENCE) > top:
             return tuple(out)
-        best = allowed[scores.index(top)]  # the first of equal maxima
-        out.append(best)
-        state = constraint_advance(state, best)
-        if retokenize_with is not None:
-            canonical = tuple(retokenize_with(_concat(d, out)))
-            if canonical != tuple(out):
-                state = _replay(d, canonical)
-                out = list(canonical)
-    if state.terminable:
+        token, _, q = moves[scores.index(top)]  # the first of equal maxima
+        out.append(token)
+        if retokenize_with is None:
+            continue
+        if pairs is not None:
+            canonical, classes, forbidden = pairs
+            if token in canonical and (len(out) == 1 or token not in forbidden[classes[out[-2]]]):
+                continue
+        text = _concat(d, out)
+        rewritten = retokenize_with(text)
+        try:
+            rewritten = tuple(rewritten)
+        except TypeError:
+            raise ConfigError(f"retokenize_with({text!r}) did not return token ids") from None
+        if rewritten != tuple(out):
+            _check_spelling(d, rewritten, text)
+            q = _replay(d, rewritten).state
+            out = list(rewritten)
+    if q in finals:
         return tuple(out)
     raise IncompleteGenerationError(
         f"no final state within {max_steps} steps", tuple(out)
     )
 
 
+def _pair_check(d: Dfa, retokenize_with) -> BigramTables | None:
+    """The bigram tables of a bound `BpeTokenizer.tokenize`, looked up on the
+    class when called, so a patched class method still qualifies and a
+    subclass override does not; None for any other retokenizer."""
+    tok = getattr(retokenize_with, "__self__", None)
+    func = getattr(retokenize_with, "__func__", None)
+    if not isinstance(tok, BpeTokenizer) or func is not BpeTokenizer.tokenize:
+        return None
+    if tok.vocab.table != d.table:
+        raise ConfigError("the retokenizer's vocabulary is not over the automaton's symbol table")
+    return tok.bigram_tables
+
+
 def _concat(d: Dfa, tokens: Sequence[int]) -> str:
-    return "".join(d.table.token(t) for t in tokens)
+    return "".join(map(d.table.token, tokens))
+
+
+def _check_spelling(d: Dfa, tokens: tuple, text: str) -> None:
+    try:
+        spelled = _concat(d, tokens)
+    except AlphabetError:  # an id outside the table, or no int at all
+        spelled = None
+    if spelled != text:
+        raise ConfigError(
+            f"retokenize_with({text!r}) returned {tokens!r}, not token ids spelling that text"
+        )
 
 
 def _replay(d: Dfa, tokens: Sequence[int]) -> ConstraintState:

@@ -12,21 +12,27 @@ import json
 import random
 
 from tokfst import (
+    END_OF_SEQUENCE,
     EPSILON,
     FAILURE,
     BpeTokenizer,
     Dfa,
     EnumerationError,
     Fst,
+    IncompleteGenerationError,
     PromotionResult,
     SymbolTable,
     Transition,
     Vocabulary,
+    allowed_tokens,
     apply_merge,
     build_lexicon_transducer,
     build_merge_gadget,
     canonical_form,
     compose,
+    constrained_decode,
+    constraint_advance,
+    constraint_begin,
     count_segmentations,
     enumerate_language,
     epsilon_remove,
@@ -426,6 +432,22 @@ def random_merge_tokenizer(rng: random.Random, chars: str, k: int) -> BpeTokeniz
     return BpeTokenizer.from_token_pairs(vocab, merges)
 
 
+def merges_over(vocab: Vocabulary) -> BpeTokenizer | None:
+    """A tokenizer over exactly `vocab`: its merges make the longer tokens in
+    order of length, each from its first split into tokens made before it.
+    None when some token has no such split."""
+    made = {vocab.table.token(i) for i in vocab.table.char_ids()}
+    pairs = []
+    for token in sorted((t for t in vocab.table.tokens if len(t) > 1), key=len):
+        split = next(((token[:i], token[i:]) for i in range(1, len(token))
+                      if token[:i] in made and token[i:] in made), None)
+        if split is None:
+            return None
+        pairs.append(split)
+        made.add(token)
+    return BpeTokenizer.from_token_pairs(vocab, pairs)
+
+
 def merge_list_pass(tok: BpeTokenizer, text: str) -> tuple[int, ...]:
     """The merge list applied in order, one `apply_merge` pass per merge:
     the definition that `tokenize` computes by rank."""
@@ -484,6 +506,48 @@ def draw_until(make, limit: int = 500):
         if candidate is not None:
             return candidate
     raise AssertionError("rejection sampling failed to produce an instance")
+
+
+# ---------------------------------------------------------------------------
+# the decoding loop `constrained_decode` replaced
+
+
+def reference_decode(lm, d: Dfa, max_steps: int = 64, *,
+                     retokenize_with=None) -> tuple[tuple[int, ...], bool]:
+    """Greedy decoding through the public mask API, one `ConstraintState`,
+    sorted mask and linear advance per step, calling the retokenizer after
+    every step. Returns the tokens and whether decoding completed: on
+    `IncompleteGenerationError`, its prefix and False."""
+    state = constraint_begin(d)
+    out: list[int] = []
+    for _ in range(max_steps):
+        allowed = sorted(allowed_tokens(state))
+        if state.terminable and not allowed:
+            return tuple(out), True
+        scores = [lm.score(out, t) for t in allowed]
+        top = max(scores)
+        if state.terminable and lm.score(out, END_OF_SEQUENCE) > top:
+            return tuple(out), True
+        best = allowed[scores.index(top)]  # the first of equal maxima
+        out.append(best)
+        state = constraint_advance(state, best)
+        if retokenize_with is not None:
+            canonical = tuple(retokenize_with("".join(map(d.table.token, out))))
+            if canonical != tuple(out):
+                state = constraint_begin(d)
+                for token in canonical:
+                    state = constraint_advance(state, token)
+                out = list(canonical)
+    return tuple(out), state.terminable
+
+
+def decode_outcome(lm, d: Dfa, max_steps: int, retokenize_with=None):
+    """`constrained_decode`'s tokens and whether it completed, as
+    `reference_decode` returns them."""
+    try:
+        return constrained_decode(lm, d, max_steps, retokenize_with=retokenize_with), True
+    except IncompleteGenerationError as e:
+        return e.prefix, False
 
 
 # ---------------------------------------------------------------------------

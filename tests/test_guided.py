@@ -2,15 +2,19 @@
 
 import random
 import struct
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from hashlib import blake2b
+from pathlib import Path
 
 import pytest
 
 import tokfst.fst
+import tokfst.guided
 from tokfst import (
     END_OF_SEQUENCE,
+    BpeTokenizer,
     ConfigError,
     ConstraintViolationError,
     DeadConstraintError,
@@ -31,7 +35,19 @@ from tokfst import (
     promote_maxmatch,
 )
 
-from helpers import agnostic_instances, bpe_instances, random_pattern_dfa, random_vocab
+from helpers import (
+    agnostic_instances,
+    bpe_instances,
+    decode_outcome,
+    merges_over,
+    random_pattern_dfa,
+    random_vocab,
+    reference_decode,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:  # the serve pool below is the benchmark's
+    sys.path.insert(0, str(ROOT))
 
 RACE = Vocabulary.from_tokens(["r", "a", "c", "e", "race", "car", "ce"])
 
@@ -249,13 +265,6 @@ def test_retokenization_pulls_the_decode_back_on_track():
     assert names(fixed) == ["race", "car"]
 
 
-def _decode_outcome(lm, d, retokenize_with):
-    try:
-        return constrained_decode(lm, d, 24, retokenize_with=retokenize_with), True
-    except IncompleteGenerationError as e:
-        return e.prefix, False
-
-
 def test_retokenization_changes_nothing_under_exact_masks():
     """A prefix of a canonical BPE or longest-match tokenization is canonical
     for its own text, so under a mask promoted for the same tokenizer,
@@ -267,8 +276,8 @@ def test_retokenization_changes_nothing_under_exact_masks():
     multi_token = 0
     for d, tokenize in cases:
         for seed in range(5):
-            plain = _decode_outcome(StubLM(seed), d, None)
-            assert _decode_outcome(StubLM(seed), d, tokenize) == plain
+            plain = decode_outcome(StubLM(seed), d, 24)
+            assert decode_outcome(StubLM(seed), d, 24, tokenize) == plain
             out, complete = plain
             multi_token += complete and len(out) > 1
     assert multi_token > 250
@@ -310,6 +319,18 @@ def test_decode_scores_each_candidate_once_per_step():
             assert sorted(calls) == sorted(expected)
 
 
+def test_decode_breaks_ties_toward_the_lowest_id():
+    class Flat:
+        def score(self, context, candidate):
+            return -1.0 if candidate == END_OF_SEQUENCE else 0.0
+
+    d = race_dfa("agnostic")
+    assert names(constrained_decode(Flat(), d)) == ["r", "a", "c", "e", "c", "a", "r"]
+    for pattern in ("(r|a|ce)*(race)?", "(ce|car|r)+"):
+        d = promote_agnostic(compile_pattern(pattern, RACE.table), RACE).dfa
+        assert decode_outcome(Flat(), d, 9) == reference_decode(Flat(), d, 9)
+
+
 def test_decode_step_budget():
     d = race_dfa("maxmatch")
     with pytest.raises(IncompleteGenerationError) as info:
@@ -321,3 +342,201 @@ def test_decode_step_budget():
     for machine in (d, terminable):
         with pytest.raises(ConfigError):
             constrained_decode(StubLM(0), machine, max_steps=-3)
+
+
+# ---------------------------------------------------------------------------
+# retokenization: the pair check of a bound BpeTokenizer.tokenize
+
+
+@pytest.fixture
+def tokenize_calls(monkeypatch):
+    """Texts passed to `BpeTokenizer.tokenize`, patched on the class as a
+    tracer does; a bound method of the patched class still gets the pair
+    check."""
+    calls = []
+    original = BpeTokenizer.tokenize
+
+    def counted(self, text):
+        calls.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(BpeTokenizer, "tokenize", counted)
+    return calls
+
+
+@pytest.fixture
+def begins(monkeypatch):
+    """Machines `constrained_decode` began on: one per decode, plus one per
+    rewrite it replays. The reference loop imports its own name."""
+    started = []
+    original = tokfst.guided.constraint_begin
+    monkeypatch.setattr(tokfst.guided, "constraint_begin",
+                        lambda d: started.append(d) or original(d))
+    return started
+
+
+def _sweep(cases, tokenize_calls, begins):
+    """Decode each (scorer, machine, max_steps, retokenizer) case with
+    `constrained_decode` and with the reference loop, which calls the
+    retokenizer on every step; the outcomes must be equal. Returns the steps,
+    `tokenize` calls and rewrites of `constrained_decode`."""
+    steps = calls = rewrites = 0
+    for lm, d, max_steps, retokenize in cases:
+        before, began = len(tokenize_calls), len(begins)
+        got = decode_outcome(lm, d, max_steps, retokenize)
+        calls += len(tokenize_calls) - before
+        rewrites += len(begins) - began - 1
+        before = len(tokenize_calls)
+        assert got == reference_decode(lm, d, max_steps, retokenize_with=retokenize)
+        steps += len(tokenize_calls) - before
+    return steps, calls, rewrites
+
+
+def test_pair_checked_decodes_equal_the_reference_loop(tokenize_calls, begins):
+    """Agnostic masks retokenized by a bound `tokenize`: the instances of
+    criteria 3-5 whose vocabulary a merge list can build, and the bpe
+    instances' patterns promoted in agnostic mode, seeds 0-4 with a 24-step
+    budget. `tokenize` runs only on a failed pair check, and each such call
+    rewrites the prefix; under the bpe masks themselves it never runs."""
+    agnostic = [(r.dfa, merges_over(v)) for _, v, r in agnostic_instances()]
+    agnostic = [(d, tok) for d, tok in agnostic if tok is not None]
+    agnostic += [(promote_agnostic(a, tok.vocab).dfa, tok) for a, tok, _ in bpe_instances()]
+    assert len(agnostic) > 110
+    cases = [(StubLM(seed), d, 24, tok.tokenize) for d, tok in agnostic for seed in range(5)]
+    steps, calls, rewrites = _sweep(cases, tokenize_calls, begins)
+    assert 0 < calls == rewrites < steps
+
+    cases = [(StubLM(seed), r.dfa, 24, tok.tokenize)
+             for _, tok, r in bpe_instances() for seed in range(5)]
+    steps, calls, rewrites = _sweep(cases, tokenize_calls, begins)
+    assert steps > 700 and calls == rewrites == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_serve_pool_decodes_equal_the_reference_loop(seed, tokenize_calls, begins):
+    """The benchmark's serve patterns and scorer at its tokenizer size:
+    agnostic decodes retokenized by a bound `tokenize`, maxmatch decodes
+    plain."""
+    from perfbench.inputs import train
+    from perfbench.workloads import FULL, MAX_STEPS, Scorer, serve_pool
+
+    tok = train(seed, FULL.corpus, FULL.merges)
+    cases = []
+    for n, pattern in enumerate(serve_pool(seed)):
+        a = compile_pattern(pattern.regex, tok.vocab.table)
+        agnostic = promote_agnostic(a, tok.vocab).dfa
+        maxmatch = promote_maxmatch(a, tok.vocab).dfa
+        for j in range(12):
+            scorer = Scorer(seed * 1000 + n * 100 + j)
+            cases += [(scorer, agnostic, MAX_STEPS, tok.tokenize),
+                      (scorer, maxmatch, MAX_STEPS, None)]
+    steps, calls, rewrites = _sweep(cases, tokenize_calls, begins)
+    assert 0 < calls == rewrites < steps
+
+
+def _abc_tokenizer():
+    vocab = Vocabulary.from_tokens(["a", "b", "c", "ab", "bc", "cc", "abc"])
+    return BpeTokenizer.from_token_pairs(vocab, [("a", "b"), ("b", "c"), ("c", "c"), ("ab", "c")])
+
+
+def test_other_retokenizers_run_on_every_step(tokenize_calls, begins):
+    """A function wrapping `tokenize`, a maxmatch retokenizer and a
+    subclass's own `tokenize` are called as often as the reference loop
+    calls them: once per step."""
+    tok = _abc_tokenizer()
+    called = []
+
+    class Overriding(BpeTokenizer):
+        def tokenize(self, text):
+            called.append(text)
+            return super().tokenize(text)
+
+    def counting(retokenize):
+        return lambda text: called.append(text) or retokenize(text)
+
+    retokenizers = {
+        "wrapped": counting(tok.tokenize),
+        "maxmatch": counting(lambda text: maxmatch_tokenize(text, tok.vocab)),
+        "subclass": Overriding(tok.vocab, tok.merges).tokenize,
+    }
+    for pattern in ("(a|b|c)*", "(abc|ab|c)+b", "a(b|c)*c"):
+        d = promote_agnostic(compile_pattern(pattern, tok.vocab.table), tok.vocab).dfa
+        for name, retokenize in retokenizers.items():
+            for seed in range(8):
+                called.clear()
+                got = decode_outcome(StubLM(seed), d, 12, retokenize)
+                steps = len(called)
+                called.clear()
+                assert got == reference_decode(StubLM(seed), d, 12, retokenize_with=retokenize)
+                assert len(called) == steps > 0, (name, pattern, seed)
+    # a bound `tokenize` under the same masks runs once per rewrite
+    for pattern in ("(a|b|c)*", "(abc|ab|c)+b", "a(b|c)*c"):
+        d = promote_agnostic(compile_pattern(pattern, tok.vocab.table), tok.vocab).dfa
+        for seed in range(8):
+            tokenize_calls.clear()
+            begins.clear()
+            decode_outcome(StubLM(seed), d, 12, tok.tokenize)
+            assert len(tokenize_calls) == len(begins) - 1
+
+
+# ---------------------------------------------------------------------------
+# retokenizers that cannot be used
+
+
+AB = Vocabulary.from_tokens(["a", "b", "ab"])
+
+
+def _ab_dfa():
+    return promote_agnostic(compile_pattern("(a|b)(a|b)(a|b)+", AB.table), AB).dfa
+
+
+def test_retokenize_with_must_be_callable():
+    scored = []
+
+    class Recording(StubLM):
+        def score(self, context, candidate):
+            scored.append(candidate)
+            return super().score(context, candidate)
+
+    for value in (5, "tokenize", [1, 2]):
+        with pytest.raises(ConfigError, match="must be callable"):
+            constrained_decode(Recording(0), _ab_dfa(), retokenize_with=value)
+    assert scored == []
+
+
+def test_a_rewrite_must_spell_the_prefix():
+    d = _ab_dfa()
+    t = AB.table
+    assert AB.decode(constrained_decode(StubLM(0), d)) == "abb"
+    swap = str.maketrans("ab", "ba")
+    bad = {
+        "swapped": lambda text: tuple(t.id(c) for c in text.translate(swap)),
+        "None": lambda text: None,
+        "a number": lambda text: 7,
+        "strings": lambda text: tuple(text),
+        "unknown ids": lambda text: (99,) * len(text),
+        "reserved ids": lambda text: (0, 1),
+        "bools": lambda text: (True,) * len(text),
+        "too short": lambda text: (),
+    }
+    for retokenize in bad.values():
+        with pytest.raises(ConfigError, match="retokenize_with"):
+            constrained_decode(StubLM(0), d, retokenize_with=retokenize)
+    # any iterable of ids spelling the text is taken, here its characters
+    spelled = constrained_decode(StubLM(0), d, retokenize_with=lambda text: iter(map(t.id, text)))
+    assert accepts(d, spelled) and all(len(t.token(i)) == 1 for i in spelled)
+
+
+def test_a_bpe_retokenizer_must_share_the_table():
+    tok = _abc_tokenizer()
+    d = promote_agnostic(compile_pattern("(a|b|c)*", tok.vocab.table), tok.vocab).dfa
+    other = Vocabulary.from_tokens(["b", "a", "c", "ab", "bc", "cc", "abc"])
+    stranger = BpeTokenizer.from_token_pairs(other, [("a", "b"), ("b", "c"), ("c", "c"), ("ab", "c")])
+    with pytest.raises(ConfigError, match="symbol table"):
+        constrained_decode(StubLM(0), d, retokenize_with=stranger.tokenize)
+    # an equal table built apart names the same ids
+    twin = _abc_tokenizer()
+    assert twin.vocab.table is not tok.vocab.table
+    for seed in range(5):
+        assert (constrained_decode(StubLM(seed), d, retokenize_with=twin.tokenize)
+                == constrained_decode(StubLM(seed), d, retokenize_with=tok.tokenize))
