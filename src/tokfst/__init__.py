@@ -66,9 +66,7 @@ from .symbols import EPSILON, FAILURE, SymbolTable
 from .tokenizers import (
     BpeTokenizer,
     Vocabulary,
-    apply_merge,
     bpe_train,
-    count_segmentations,
     iter_segmentations,
     maxmatch_tokenize,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "Vocabulary",
     "accepts",
     "allowed_tokens",
-    "apply_merge",
     "bpe_train",
     "build_failure_trie",
     "build_lexicon_transducer",
@@ -116,7 +113,6 @@ __all__ = [
     "constrained_decode",
     "constraint_advance",
     "constraint_begin",
-    "count_segmentations",
     "determinize",
     "enumerate_language",
     "epsilon_remove",

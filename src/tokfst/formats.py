@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -79,8 +78,12 @@ def load_merges(path: str | Path, v: Vocabulary) -> BpeTokenizer:
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write a new file beside `path`, then rename it over `path`. The new
+    file gets mode 0o666 less the umask, as `open(path, "w")` gives it;
+    `tempfile.mkstemp` would make it 0o600."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

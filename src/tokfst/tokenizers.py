@@ -50,8 +50,13 @@ class Vocabulary:
         return max((len(t) for t in self.table.tokens), default=0)
 
     def encode_chars(self, text: str) -> tuple[int, ...]:
-        """Map text to its character-by-character id sequence."""
-        return tuple(self.table.id(ch) for ch in text)
+        """Map text to its character-by-character id sequence. A character
+        outside the vocabulary is named as `maxmatch_tokenize` names it."""
+        try:
+            return self.table.ids(text)
+        except AlphabetError:
+            bad = next(ch for ch in text if ch not in self.table)
+            raise AlphabetError(f"character {bad!r} is not in the vocabulary") from None
 
     def decode(self, ids: Iterable[int]) -> str:
         return "".join(self.table.token(i) for i in ids)
@@ -79,18 +84,10 @@ def maxmatch_tokenize(text: str, vocab: Vocabulary) -> tuple[int, ...]:
     return tuple(out)
 
 
-def apply_merge(seq: tuple[int, ...], merge: tuple[int, int], table: SymbolTable) -> tuple[int, ...]:
-    """Replace every adjacent occurrence of the pair in one left-to-right pass.
-
-    After a replacement scanning resumes after the new token, so `(a, a)`
-    applied to `a a a` gives `aa a`.
-    """
-    x, y = merge
-    return _merge_pass(seq, x, y, table.id(table.token(x) + table.token(y)))
-
-
 def _merge_pass(seq: tuple[int, ...], x: int, y: int, merged: int) -> tuple[int, ...]:
-    """`apply_merge` with the merged token's id already known."""
+    """Replace every adjacent pair (x, y) with `merged` in one left-to-right
+    pass. After a replacement scanning resumes after the new token, so
+    `(a, a)` applied to `a a a` gives `aa a`."""
     out: list[int] = []
     i = 0
     last = len(seq) - 1
@@ -117,7 +114,8 @@ class BigramTables(NamedTuple):
     forbidden: tuple[frozenset[int], ...]  # by class; class 0 forbids nothing
 
 
-def _bigram_tables(merges: tuple[tuple[int, int], ...], table: SymbolTable) -> BigramTables:
+def _bigram_tables(ranked: dict[tuple[int, int], tuple[int, int]],
+                   table: SymbolTable) -> BigramTables:
     """The spine rule. While a text x+y is tokenized, the two sides evolve
     as x and y alone until a merge crosses the boundary. At merge rank r the
     left side ends in the node of x's right spine (x, its right operand,
@@ -131,10 +129,12 @@ def _bigram_tables(merges: tuple[tuple[int, int], ...], table: SymbolTable) -> B
     before the pair that kills b. So (x, y) is forbidden iff such a merge
     exists, and x + y made at rank r is canonical iff x and y are and the
     first merge crossing them is r itself.
+
+    `ranked` is a tokenizer's merge pair -> (rank, result id), in rank order.
     """
-    end = len(merges)
+    end = len(ranked)
     by_left: dict[int, list[tuple[int, int]]] = defaultdict(list)  # a -> (rank, b), by rank
-    for r, (a, b) in enumerate(merges):
+    for (a, b), (r, _) in ranked.items():
         by_left[a].append((r, b))
     # (node, birth, death) from the top; only canonical tokens have spines
     right = {c: ((c, -1, end),) for c in table.char_ids()}
@@ -151,12 +151,11 @@ def _bigram_tables(merges: tuple[tuple[int, int], ...], table: SymbolTable) -> B
                         first[b] = r
         return first
 
-    for r, (a, b) in enumerate(merges):
+    for (a, b), (r, z) in ranked.items():
         first = crossing(a) if a in right and b in left else None
         if first is None or any(first.get(n, end) < r and first[n] <= died
                                 for n, _, died in left[b]):
             continue
-        z = table.id(table.token(a) + table.token(b))
         right[z] = ((z, r, end),) + tuple((n, born, r if died == end else died)
                                           for n, born, died in right[b])
         left[z] = ((z, r, end),) + tuple((n, born, r if died == end else died)
@@ -239,7 +238,7 @@ class BpeTokenizer:
 
     @cached_property
     def bigram_tables(self) -> BigramTables:
-        return _bigram_tables(self.merges, self.vocab.table)
+        return _bigram_tables(self._ranked, self.vocab.table)
 
     def merge_tokens(self) -> tuple[tuple[str, str], ...]:
         table = self.vocab.table
@@ -268,18 +267,6 @@ class BpeTokenizer:
             x, y = self.merges[rank]
             seq = _merge_pass(seq, x, y, merged)
         return seq
-
-    def tokenize_incremental(self, text: str) -> tuple[int, ...]:
-        """Repeatedly apply the earliest-listed merge present anywhere in the
-        sequence. Agrees with tokenize() whenever the merge list is valid,
-        because later merges never create operand pairs of earlier ones."""
-        rank = {m: n for n, m in enumerate(self.merges)}
-        seq = self.vocab.encode_chars(text)
-        while True:
-            present = [rank[p] for p in zip(seq, seq[1:]) if p in rank]
-            if not present:
-                return seq
-            seq = apply_merge(seq, self.merges[min(present)], self.vocab.table)
 
 
 def bpe_train(corpus: Iterable[str], steps: int) -> BpeTokenizer:
@@ -329,21 +316,6 @@ def bpe_train(corpus: Iterable[str], steps: int) -> BpeTokenizer:
         seqs = [(_merge_pass(s, x, y, x + y) if x in s else s, n) for s, n in seqs]
     vocab = Vocabulary.from_tokens(dict.fromkeys(chars + [x + y for x, y in merges]))
     return BpeTokenizer.from_token_pairs(vocab, merges)
-
-
-def count_segmentations(text: str, vocab: Vocabulary) -> int:
-    """How many distinct token sequences spell out `text`."""
-    n = len(text)
-    ways = [0] * (n + 1)
-    ways[n] = 1
-    table = vocab.table
-    for i in range(n - 1, -1, -1):
-        total = 0
-        for length in range(1, min(vocab.max_token_len, n - i) + 1):
-            if text[i : i + length] in table:
-                total += ways[i + length]
-        ways[i] = total
-    return ways[0]
 
 
 def iter_segmentations(text: str, vocab: Vocabulary) -> Iterator[tuple[int, ...]]:

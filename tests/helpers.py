@@ -25,7 +25,6 @@ from tokfst import (
     Transition,
     Vocabulary,
     allowed_tokens,
-    apply_merge,
     build_lexicon_transducer,
     build_merge_gadget,
     canonical_form,
@@ -33,7 +32,6 @@ from tokfst import (
     constrained_decode,
     constraint_advance,
     constraint_begin,
-    count_segmentations,
     enumerate_language,
     epsilon_remove,
     maxmatch_tokenize,
@@ -448,6 +446,26 @@ def merges_over(vocab: Vocabulary) -> BpeTokenizer | None:
     return BpeTokenizer.from_token_pairs(vocab, pairs)
 
 
+def apply_merge(seq: tuple[int, ...], merge: tuple[int, int], table: SymbolTable) -> tuple[int, ...]:
+    """Replace every adjacent occurrence of the pair in one left-to-right pass.
+
+    After a replacement scanning resumes after the new token, so `(a, a)`
+    applied to `a a a` gives `aa a`.
+    """
+    x, y = merge
+    merged = table.id(table.token(x) + table.token(y))
+    out: list[int] = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and (seq[i], seq[i + 1]) == (x, y):
+            out.append(merged)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return tuple(out)
+
+
 def merge_list_pass(tok: BpeTokenizer, text: str) -> tuple[int, ...]:
     """The merge list applied in order, one `apply_merge` pass per merge:
     the definition that `tokenize` computes by rank."""
@@ -455,6 +473,34 @@ def merge_list_pass(tok: BpeTokenizer, text: str) -> tuple[int, ...]:
     for merge in tok.merges:
         seq = apply_merge(seq, merge, tok.vocab.table)
     return seq
+
+
+def tokenize_incremental(tok: BpeTokenizer, text: str) -> tuple[int, ...]:
+    """Repeatedly apply the earliest-listed merge present anywhere in the
+    sequence. Agrees with `tok.tokenize` whenever the merge list is valid,
+    because later merges never create operand pairs of earlier ones."""
+    rank = {m: n for n, m in enumerate(tok.merges)}
+    seq = tok.vocab.encode_chars(text)
+    while True:
+        present = [rank[p] for p in zip(seq, seq[1:]) if p in rank]
+        if not present:
+            return seq
+        seq = apply_merge(seq, tok.merges[min(present)], tok.vocab.table)
+
+
+def count_segmentations(text: str, vocab: Vocabulary) -> int:
+    """How many distinct token sequences spell out `text`."""
+    n = len(text)
+    ways = [0] * (n + 1)
+    ways[n] = 1
+    table = vocab.table
+    for i in range(n - 1, -1, -1):
+        total = 0
+        for length in range(1, min(vocab.max_token_len, n - i) + 1):
+            if text[i : i + length] in table:
+                total += ways[i + length]
+        ways[i] = total
+    return ways[0]
 
 
 def random_pattern_dfa(rng: random.Random, table: SymbolTable, *,

@@ -397,6 +397,18 @@ def test_output_subsets_match_the_operator_chain():
     assert flags == {True, False}
 
 
+def test_minimize_takes_a_deterministic_fst():
+    rng = random.Random(445)
+    for _ in range(30):
+        d = random_partial_dfa(rng, AB, 6)
+        m = Fst(AB, d.num_states, d.start, d.finals, d.transitions)
+        assert type(m) is Fst
+        assert minimize(m) == minimize(Dfa.from_fst(m))
+    nondet = Fst(AB, 3, 0, frozenset({1}), (Transition(0, A, A, 1), Transition(0, A, A, 2)))
+    with pytest.raises(ValueError):
+        minimize(nondet)
+
+
 def test_minimize_merges_equivalent_states():
     # two distinct accepting sinks for the same residual language
     m = Dfa(AB, 3, 0, frozenset({1, 2}), (
@@ -506,6 +518,29 @@ def test_compose_rejects_failure_arcs_on_the_left():
     other = Fst(AB, 1, 0, frozenset({0}), (Transition(0, A, A, 0), Transition(0, B, B, 0)))
     with pytest.raises(ConfigError):
         compose(m, other)
+
+
+def test_compose_rejects_operands_over_different_tables():
+    left = line_dfa(AB, (A,))
+    right = line_dfa(SymbolTable(["a", "b", "c"]), (A,))
+    with pytest.raises(ConfigError, match="different symbol tables"):
+        compose(left, right)
+
+
+def test_compose_through_a_failure_cycle_terminates():
+    # right: 0 matches x, 1 matches z, and their failure arcs point at each
+    # other; a chain walking the cycle blocks x and z, so it cannot read y
+    table = SymbolTable(["x", "y", "z"])
+    x, y, z = table.ids(["x", "y", "z"])
+    left = Fst(table, 2, 0, frozenset({1}), tuple(Transition(0, s, s, 1) for s in (x, y, z)))
+    right = Fst(table, 3, 0, frozenset({2}), (
+        Transition(0, x, x, 2),
+        Transition(0, FAILURE, EPSILON, 1),
+        Transition(1, z, z, 2),
+        Transition(1, FAILURE, EPSILON, 0),
+    ))
+    assert enumerate_pairs(compose(left, right), 3) == {((x,), (x,)), ((z,), (z,))}
+    assert enumerate_language(right, 3) == {(x,), (z,)}
 
 
 def test_project_output_keeps_output_side():

@@ -1,8 +1,10 @@
 """File formats and the command line, driven in-process."""
 
 import json
+import os
 import random
 import re
+import stat
 import time
 
 import pytest
@@ -333,6 +335,32 @@ def test_dot_writes_to_a_file(tmp_path):
     assert '"a:a"' in text
 
 
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    # a new file is 0o666 less the umask, not the 0o600 of a private temp file
+    d = compile_pattern("ab", Vocabulary.from_tokens(["a", "b"]).table)
+    old = os.umask(0o022)
+    try:
+        save_automaton(d, tmp_path / "m.json")
+        export_dot(d, tmp_path / "m.dot")
+        os.umask(0o077)
+        save_automaton(d, tmp_path / "private.json")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"m.json": 0o644, "m.dot": 0o644, "private.json": 0o600}
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    d = compile_pattern("ab", Vocabulary.from_tokens(["a", "b"]).table)
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        save_automaton(d, tmp_path / "taken")
+    with pytest.raises(OSError):
+        export_dot(d, tmp_path / "missing" / "m.dot")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
 def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     (tmp_path / "vocab.txt").write_text('"\n\\\n')
     table = load_vocab(tmp_path / "vocab.txt").table
@@ -384,6 +412,18 @@ def test_cli_tokenize_goldens(workdir, capsys):
                              "--merges", workdir / "fig3m.txt", "--input", "topology")
     assert (code, out) == (2, "")
     assert "invalid choice" in err and "bpe-iterative" in err
+
+
+def test_cli_tokenize_names_a_bad_character_alike_in_both_modes(tmp_path, capsys):
+    (tmp_path / "vocab.txt").write_text("a\nb\nab\n")
+    (tmp_path / "merges.txt").write_text("a b\n")
+    errors = []
+    for mode in ("bpe", "maxmatch"):
+        code, out, err = run_cli(capsys, "tokenize", "--mode", mode, "--vocab", tmp_path / "vocab.txt",
+                                 "--merges", tmp_path / "merges.txt", "--input", "abc")
+        assert (code, out) == (1, "")
+        errors.append(err)
+    assert errors == ["error: character 'c' is not in the vocabulary\n"] * 2
 
 
 def test_cli_promote_enumerate_mask(workdir, capsys):

@@ -12,7 +12,6 @@ from tokfst import (
     Dfa,
     SymbolTable,
     Vocabulary,
-    apply_merge,
     build_failure_trie,
     build_lexicon_transducer,
     build_maxmatch_transducer,
@@ -24,6 +23,7 @@ from tokfst.lexicon import build_token_trie, token_steps
 from tokfst.symbols import RESERVED
 
 from helpers import (
+    apply_merge,
     greedy_failure_links,
     random_merge_tokenizer,
     random_vocab,

@@ -11,14 +11,21 @@ from tokfst import (
     BpeTokenizer,
     ConfigError,
     Vocabulary,
-    apply_merge,
     bpe_train,
-    count_segmentations,
     iter_segmentations,
     maxmatch_tokenize,
 )
+from tokfst.tokenizers import _merge_pass
 
-from helpers import identifiers, merge_list_pass, random_merge_tokenizer, random_vocab
+from helpers import (
+    apply_merge,
+    count_segmentations,
+    identifiers,
+    merge_list_pass,
+    random_merge_tokenizer,
+    random_vocab,
+    tokenize_incremental,
+)
 
 BANANAS = Vocabulary.from_tokens(["a", "b", "n", "s", "ba", "na", "ban", "bana"])
 ABAB = Vocabulary.from_tokens(["a", "b", "ab", "aba"])
@@ -85,18 +92,38 @@ def test_apply_merge_is_a_single_left_to_right_pass():
     # overlapping aaa: the first pair wins, the survivor does not re-pair
     assert apply_merge((a, a, a), (a, a), table) == (aa, a)
     assert apply_merge((a, a, a, a), (a, a), table) == (aa, aa)
+    # the library's pass keeps the same contract
+    assert _merge_pass((a, a, a), a, a, aa) == (aa, a)
+    assert _merge_pass((a, a, a, a), a, a, aa) == (aa, aa)
 
 
 def test_bpe_goldens():
     assert words(TOPOLOGY.vocab, TOPOLOGY.tokenize("topology")) == ["to", "po", "logy"]
-    assert words(TOPOLOGY.vocab, TOPOLOGY.tokenize_incremental("topology")) == ["to", "po", "logy"]
+    assert words(TOPOLOGY.vocab, tokenize_incremental(TOPOLOGY, "topology")) == ["to", "po", "logy"]
     assert words(SECT52.vocab, SECT52.tokenize("bcababcc")) == ["bc", "ab", "ab", "cc"]
-    assert words(SECT52.vocab, SECT52.tokenize_incremental("bcababcc")) == ["bc", "ab", "ab", "cc"]
+    assert words(SECT52.vocab, tokenize_incremental(SECT52, "bcababcc")) == ["bc", "ab", "ab", "cc"]
 
 
 def test_bpe_single_char():
     assert words(TOPOLOGY.vocab, TOPOLOGY.tokenize("t")) == ["t"]
     assert TOPOLOGY.tokenize("") == ()
+
+
+def test_both_tokenizers_name_a_bad_character_alike():
+    # `tokenize` reads the text through `encode_chars`; both name the first
+    # character outside the vocabulary, wherever it stands
+    for text, bad in (("z", "z"), ("abz", "z"), ("zab", "z"), ("abzyc", "z"), ("bc\ncc", "\n")):
+        message = f"character {bad!r} is not in the vocabulary"
+        with pytest.raises(AlphabetError) as bpe_error:
+            SECT52.tokenize(text)
+        with pytest.raises(AlphabetError) as maxmatch_error:
+            maxmatch_tokenize(text, SECT52.vocab)
+        with pytest.raises(AlphabetError) as chars_error:
+            SECT52.vocab.encode_chars(text)
+        assert str(bpe_error.value) == str(maxmatch_error.value) == str(chars_error.value) == message
+    table = SECT52.vocab.table
+    assert SECT52.vocab.encode_chars("abc") == table.ids("abc")
+    assert SECT52.vocab.encode_chars("") == ()
 
 
 def test_bpe_algorithms_agree_randomized():
@@ -105,7 +132,7 @@ def test_bpe_algorithms_agree_randomized():
         chars = "".join(sorted(rng.sample("abcd", rng.randint(2, 4))))
         tok = random_merge_tokenizer(rng, chars, rng.randint(0, 12))
         text = "".join(rng.choice(chars) for _ in range(rng.randint(0, 20)))
-        assert tok.tokenize(text) == tok.tokenize_incremental(text) == merge_list_pass(tok, text)
+        assert tok.tokenize(text) == tokenize_incremental(tok, text) == merge_list_pass(tok, text)
     # the pass skips a merge whose pair is absent; these texts hold left
     # operands with and without their right operand after them, and
     # one-character alphabets make self-pairs like (a, a) common
@@ -125,7 +152,7 @@ def test_bpe_algorithms_agree_randomized():
                 pieces.append(x + y)
         rng.shuffle(pieces)
         text = "".join(pieces) + "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))
-        assert tok.tokenize(text) == tok.tokenize_incremental(text) == merge_list_pass(tok, text), text
+        assert tok.tokenize(text) == tokenize_incremental(tok, text) == merge_list_pass(tok, text), text
     assert self_pairs > 50
 
 
@@ -145,7 +172,7 @@ def test_bpe_rank_table():
     with pytest.raises(AlphabetError) as ranked_error:
         SECT52.tokenize("abz")
     with pytest.raises(AlphabetError) as reference_error:
-        SECT52.tokenize_incremental("abz")
+        tokenize_incremental(SECT52, "abz")
     assert str(ranked_error.value) == str(reference_error.value)
 
     # a long text over a long list: tokens up to 10 characters, 400 merges
