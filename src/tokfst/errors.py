@@ -53,6 +53,12 @@ class IncompleteGenerationError(ConstraintError):
         self.prefix = prefix
 
 
+def check_text(name: str, value: object) -> None:
+    """Text must be a `str`; a list, say, would be read item by item."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a str, got {value!r}")
+
+
 def check_count(name: str, value: object) -> None:
     """A bound such as max_len must be an int, not a bool, and not negative."""
     if type(value) is not int:

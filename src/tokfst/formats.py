@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from contextlib import suppress
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -78,15 +80,18 @@ def load_merges(path: str | Path, v: Vocabulary) -> BpeTokenizer:
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
-    """Write a new file beside `path`, then rename it over `path`. The new
-    file gets mode 0o666 less the umask, as `open(path, "w")` gives it;
-    `tempfile.mkstemp` would make it 0o600."""
-    path = Path(path)
+    """Write a new file beside `path`, then rename it over `path`. As with
+    `open(path, "w")`, a symlink is written through, and the file gets the
+    mode of the one it replaces, or 0o666 less the umask, not a temp file's
+    0o600."""
+    path = Path(os.path.realpath(path))
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        with suppress(FileNotFoundError):  # nothing to replace
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

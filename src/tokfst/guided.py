@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fst import Dfa, trim
 from .symbols import RESERVED
-from .tokenizers import BigramTables, BpeTokenizer
+from .tokenizers import BpeTokenizer
 
 END_OF_SEQUENCE = -1  # score-only sentinel, never a real symbol id
 
@@ -139,7 +139,7 @@ def constrained_decode(
     if retokenize_with is not None and not callable(retokenize_with):
         raise ConfigError(f"retokenize_with must be callable, got {retokenize_with!r}")
     q = constraint_begin(d).state
-    pairs = _pair_check(d, retokenize_with)
+    after = _pair_check(d, retokenize_with)
     arcs, finals, score = d.arcs, d.finals, lm.score
     out: list[int] = []
     for _ in range(max_steps):
@@ -154,10 +154,8 @@ def constrained_decode(
         out.append(token)
         if retokenize_with is None:
             continue
-        if pairs is not None:
-            canonical, classes, forbidden = pairs
-            if token in canonical and (len(out) == 1 or token not in forbidden[classes[out[-2]]]):
-                continue
+        if after is not None and token in after and (len(out) == 1 or token not in after[out[-2]]):
+            continue
         text = _concat(d, out)
         rewritten = retokenize_with(text)
         try:
@@ -175,7 +173,7 @@ def constrained_decode(
     )
 
 
-def _pair_check(d: Dfa, retokenize_with) -> BigramTables | None:
+def _pair_check(d: Dfa, retokenize_with) -> dict[int, frozenset[int]] | None:
     """The bigram tables of a bound `BpeTokenizer.tokenize`, looked up on the
     class when called, so a patched class method still qualifies and a
     subclass override does not; None for any other retokenizer."""

@@ -14,7 +14,7 @@ makes it minimal.
 
 from __future__ import annotations
 
-from .errors import AlphabetError, PatternSyntaxError
+from .errors import AlphabetError, PatternSyntaxError, check_text
 # epsilon_remove: bound for perfbench/tracing.py to patch
 from .fst import Dfa, Fst, determinize, epsilon_remove, minimize
 from .symbols import EPSILON, SymbolTable
@@ -192,5 +192,6 @@ def compile_pattern(text: str, table: SymbolTable) -> Dfa:
 
     Every arc symbol is a single-character token id from `table`.
     """
+    check_text("pattern", text)
     nfa = _Compiler(text, table).compile()
     return minimize(determinize(nfa))

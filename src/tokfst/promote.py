@@ -49,7 +49,7 @@ from .lexicon import (  # build_lexicon_transducer: bound for perfbench/tracing.
     token_trie,
     vocab_machine,
 )
-from .tokenizers import BigramTables, BpeTokenizer, Vocabulary, iter_segmentations
+from .tokenizers import BpeTokenizer, Vocabulary, iter_segmentations
 from .tokenizers import maxmatch_tokenize
 
 
@@ -105,14 +105,10 @@ def _stage(
 
 def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting every segmentation of every match:
-    the bigram walk with every token canonical and one class that forbids
-    nothing, so its keys are (q, 0). One stage, labelled "steps"."""
-    def steps(d: Dfa) -> tuple[Dfa, bool]:
-        tokens = v.table.token_ids()
-        free = BigramTables(tokens, dict.fromkeys(tokens, 0), (frozenset(),))
-        return _bigram_product(d, v, free), True
-
-    return _stage(a, v, "agnostic", "steps", steps)
+    the bigram walk with every token canonical and forbidding nothing, so
+    its keys are (q, 0). One stage, labelled "steps"."""
+    free = lambda d: (_bigram_product(d, v, dict.fromkeys(v.table.token_ids(), frozenset())), True)
+    return _stage(a, v, "agnostic", "steps", free)
 
 
 def promote_maxmatch(a: Dfa, v: Vocabulary) -> PromotionResult:
@@ -140,17 +136,19 @@ def promote_bpe(
     return result
 
 
-def _bigram_product(d: Dfa, v: Vocabulary, tables: BigramTables) -> Dfa:
+def _bigram_product(d: Dfa, v: Vocabulary, after: dict[int, frozenset[int]]) -> Dfa:
     """The bigram walk. A token sequence is the tokenization of its text iff
-    each token is canonical and each adjacent pair is allowed (`tables`).
-    So the walk reads `d` a token at a time over (pattern state, class of
-    the last token's forbidden followers) keys from (start, 0): a key steps
-    on t to (δ*(q, t), class of t) when t is canonical and not forbidden,
+    each token is a key of `after` and none is in the set of the one before
+    it. So the walk reads `d` a token at a time over (pattern state, number
+    of the last token's set) keys from (start, 0), numbering the distinct
+    sets as it meets them, the empty one as 0: a key steps on t to
+    (δ*(q, t), number of t's set) when t is a key and not in the key's set,
     and is final iff its pattern state is. `d` is deterministic, so the
     steps are too."""
-    canonical, classes, forbidden = tables
-    moves = [[(tok, tok, (dst, classes[tok])) for tok, dst in q_steps if tok in canonical]
+    ids = {frozenset(): 0}
+    moves = [[(t, t, (dst, ids.setdefault(after[t], len(ids)))) for t, dst in q_steps if t in after]
              for q_steps in token_steps(token_trie(v), d)]
+    forbidden = list(ids)  # by number
     finals = d.finals
 
     def expand(key: tuple[int, int]) -> tuple[bool, list[tuple[int, int, tuple[int, int]]]]:

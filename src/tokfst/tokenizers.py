@@ -14,9 +14,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .errors import AlphabetError, ConfigError
+from .errors import AlphabetError, ConfigError, check_text
 from .symbols import SymbolTable
 
 
@@ -50,8 +50,9 @@ class Vocabulary:
         return max((len(t) for t in self.table.tokens), default=0)
 
     def encode_chars(self, text: str) -> tuple[int, ...]:
-        """Map text to its character-by-character id sequence. A character
-        outside the vocabulary is named as `maxmatch_tokenize` names it."""
+        """Map text, a `str`, to its character-by-character id sequence,
+        naming the first character outside the vocabulary."""
+        check_text("text", text)
         try:
             return self.table.ids(text)
         except AlphabetError:
@@ -66,21 +67,17 @@ def maxmatch_tokenize(text: str, vocab: Vocabulary) -> tuple[int, ...]:
     """Greedy longest-prefix segmentation.
 
     At each position the longest vocabulary token that prefixes the rest of
-    the text is taken; single-character coverage guarantees progress.
+    the text is taken. `encode_chars` checks the text first, so some
+    one-character token always matches.
     """
-    table = vocab.table
+    vocab.encode_chars(text)
+    table, width = vocab.table, vocab.max_token_len
     out: list[int] = []
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
-        for length in range(min(vocab.max_token_len, n - i), 0, -1):
-            piece = text[i : i + length]
-            if piece in table:
-                out.append(table.id(piece))
-                i += length
-                break
-        else:
-            raise AlphabetError(f"character {text[i]!r} is not in the vocabulary")
+        k = next(k for k in range(min(width, n - i), 0, -1) if text[i : i + k] in table)
+        out.append(table.id(text[i : i + k]))
+        i += k
     return tuple(out)
 
 
@@ -102,33 +99,27 @@ def _merge_pass(seq: tuple[int, ...], x: int, y: int, merged: int) -> tuple[int,
     return tuple(out)
 
 
-class BigramTables(NamedTuple):
-    """Which token sequences a `BpeTokenizer` outputs, by adjacent pairs.
-
-    A sequence is the tokenization of its text iff each token is canonical
-    and no token is followed by one its class forbids (Vieira et al.,
-    "Language Models over Canonical Byte-Pair Encodings", 2025)."""
-
-    canonical: frozenset[int]  # the tokens that are their own tokenization
-    classes: dict[int, int]  # canonical token -> the class of its forbidden followers
-    forbidden: tuple[frozenset[int], ...]  # by class; class 0 forbids nothing
-
-
 def _bigram_tables(ranked: dict[tuple[int, int], tuple[int, int]],
-                   table: SymbolTable) -> BigramTables:
-    """The spine rule. While a text x+y is tokenized, the two sides evolve
-    as x and y alone until a merge crosses the boundary. At merge rank r the
-    left side ends in the node of x's right spine (x, its right operand,
-    that token's right operand, ... down to a character) that lives at r:
-    born at the rank of the merge that made it (-1 for a character), dead
-    at the rank of the merge that made its parent on the spine (len(merges)
-    for x itself). The right side starts with the node of y's left spine
-    living at r. Merge (a, b) crosses iff a lives on x's spine with
-    birth < r < death, as at r = death the pass pairs a inside x first, and
-    b on y's with birth < r <= death, as the pass meets the crossing pair
-    before the pair that kills b. So (x, y) is forbidden iff such a merge
-    exists, and x + y made at rank r is canonical iff x and y are and the
-    first merge crossing them is r itself.
+                   table: SymbolTable) -> dict[int, frozenset[int]]:
+    """Each canonical token (one that is its own tokenization) to the tokens
+    that may not follow it; equal sets are one object. A sequence is the
+    tokenization of its text iff each token is a key and none is in the set
+    of the one before it (Vieira et al., "Language Models over Canonical
+    Byte-Pair Encodings", 2025).
+
+    The sets come from the spine rule. While a text x+y is tokenized, the
+    two sides evolve as x and y alone until a merge crosses the boundary.
+    At merge rank r the left side ends in the node of x's right spine (x,
+    its right operand, that token's right operand, ... down to a character)
+    that lives at r: born at the rank of the merge that made it (-1 for a
+    character), dead at the rank of the merge that made its parent on the
+    spine (len(merges) for x itself). The right side starts with the node
+    of y's left spine living at r. Merge (a, b) crosses iff a lives on x's
+    spine with birth < r < death, as at r = death the pass pairs a inside x
+    first, and b on y's with birth < r <= death, as the pass meets the
+    crossing pair before the pair that kills b. So (x, y) is forbidden iff
+    such a merge exists, and x + y made at rank r is canonical iff x and y
+    are and the first merge crossing them is r itself.
 
     `ranked` is a tokenizer's merge pair -> (rank, result id), in rank order.
     """
@@ -165,13 +156,13 @@ def _bigram_tables(ranked: dict[tuple[int, int], tuple[int, int]],
     for y in sorted(left):
         for n, _, died in left[y]:
             followers[n].append((died, y))
-    classes: dict[int, int] = {}
-    numbered: dict[frozenset[int], int] = {frozenset(): 0}
+    interned: dict[frozenset[int], frozenset[int]] = {}
+    after: dict[int, frozenset[int]] = {}
     for x in sorted(right):
         banned = frozenset(y for b, r in crossing(x).items()
                            for died, y in followers.get(b, ()) if r <= died)
-        classes[x] = numbered.setdefault(banned, len(numbered))
-    return BigramTables(frozenset(right), classes, tuple(numbered))
+        after[x] = interned.setdefault(banned, banned)
+    return after
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,6 @@ class BpeTokenizer:
             raise ConfigError("merges must be a sequence of token id pairs") from None
         table = self.vocab.table
         available = set(table.char_ids())
-        produced: set[int] = set()
         ranked: dict[tuple[int, int], tuple[int, int]] = {}
         for n, merge in enumerate(self.merges):
             if len(merge) != 2 or any(type(i) is not int for i in merge):
@@ -213,12 +203,11 @@ class BpeTokenizer:
                     f"merge {n} would produce {combined!r}, which is not a token"
                 )
             result = table.id(combined)
-            if result in produced:
+            if result in available:  # a result is no character, so made before
                 raise ConfigError(f"two merges produce the same token {combined!r}")
-            produced.add(result)
             available.add(result)
             ranked[merge] = (n, result)
-        uncovered = set(table.token_ids()) - set(table.char_ids()) - produced
+        uncovered = table.token_ids() - available
         if uncovered:
             token = table.token(min(uncovered))
             raise ConfigError(f"token {token!r} is not produced by any merge")
@@ -237,7 +226,8 @@ class BpeTokenizer:
         return cls(vocab, tuple(map(table.ids, pairs)))
 
     @cached_property
-    def bigram_tables(self) -> BigramTables:
+    def bigram_tables(self) -> dict[int, frozenset[int]]:
+        """Each canonical token to the tokens that may not follow it."""
         return _bigram_tables(self._ranked, self.vocab.table)
 
     def merge_tokens(self) -> tuple[tuple[str, str], ...]:
@@ -322,6 +312,7 @@ def iter_segmentations(text: str, vocab: Vocabulary) -> Iterator[tuple[int, ...]
     """Yield every token-id sequence that concatenates to `text`, depth
     first, shorter first tokens first. The walk keeps its own stack, so long
     texts do not hit the recursion limit."""
+    check_text("text", text)
     table = vocab.table
     n = len(text)
     acc: list[int] = []

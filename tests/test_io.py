@@ -350,6 +350,34 @@ def test_written_files_get_the_mode_open_gives(tmp_path):
     assert modes == {"m.json": 0o644, "m.dot": 0o644, "private.json": 0o600}
 
 
+def test_a_replaced_file_keeps_its_mode(tmp_path):
+    # as open(path, "w") would: a file made private stays private
+    d = compile_pattern("ab", Vocabulary.from_tokens(["a", "b"]).table)
+    old = os.umask(0o022)
+    try:
+        save_automaton(d, tmp_path / "m.json")
+        (tmp_path / "m.json").chmod(0o600)
+        save_automaton(d, tmp_path / "m.json")
+        export_dot(d, tmp_path / "m.dot")
+        (tmp_path / "m.dot").chmod(0o640)
+        export_dot(d, tmp_path / "m.dot")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"m.json": 0o600, "m.dot": 0o640}
+
+
+def test_a_write_through_a_symlink_replaces_its_target(tmp_path):
+    d = compile_pattern("ab", Vocabulary.from_tokens(["a", "b"]).table)
+    e = compile_pattern("a*", d.table)
+    save_automaton(d, tmp_path / "m.json")
+    (tmp_path / "link.json").symlink_to("m.json")
+    save_automaton(e, tmp_path / "link.json")
+    assert (tmp_path / "link.json").is_symlink()
+    assert load_automaton(tmp_path / "m.json") == e
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "m.json"]
+
+
 def test_a_failed_write_leaves_no_temporary_file(tmp_path):
     d = compile_pattern("ab", Vocabulary.from_tokens(["a", "b"]).table)
     (tmp_path / "taken").mkdir()
@@ -357,7 +385,10 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path):
         save_automaton(d, tmp_path / "taken")
     with pytest.raises(OSError):
         export_dot(d, tmp_path / "missing" / "m.dot")
-    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    (tmp_path / "loop").symlink_to("loop")  # a loop fails like any other write
+    with pytest.raises(OSError):
+        save_automaton(d, tmp_path / "loop")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loop", "taken"]
     assert list((tmp_path / "taken").iterdir()) == []
 
 

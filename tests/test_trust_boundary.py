@@ -32,10 +32,12 @@ from tokfst import (
     constrained_decode,
     enumerate_language,
     export_dot,
+    iter_segmentations,
     language_by_chars,
     load_automaton,
     load_merges,
     load_vocab,
+    maxmatch_tokenize,
     minimize,
     promote_agnostic,
     trim,
@@ -88,6 +90,10 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=11), inner, max_size=3),
     max_leaves=8,
 )
+# no text, though some iterate like text: each text argument refuses them
+words = st.lists(st.text(alphabet="ab", max_size=2), max_size=3)
+not_text = (st.none() | st.booleans() | st.integers() | st.floats() | st.binary(max_size=3)
+            | words | words.map(tuple))
 # documents with the interchange fields, so values reach the deeper checks
 documents = st.fixed_dictionaries({
     "symbols": st.lists(st.text(max_size=2), max_size=3) | scalars,
@@ -158,12 +164,14 @@ def test_constructors_raise_only_value_errors(cls, machine):
 
 
 @FUZZ
-@given(st.text(alphabet="abc()[]|*+?.^-\\", max_size=16))
+@given(st.text(alphabet="abc()[]|*+?.^-\\", max_size=16) | not_text)
 def test_compile_pattern_raises_only_typed_errors(text):
     try:
         compile_pattern(text, TABLE)
-    except TokfstError:
-        pass
+    except TokfstError as err:  # a ConfigError for exactly the values that are no str
+        assert isinstance(err, ConfigError) != isinstance(text, str)
+    else:
+        assert isinstance(text, str)
 
 
 # text files of short lines over a few characters, or raw bytes
@@ -242,6 +250,16 @@ def test_bpe_tokenize_raises_only_alphabet_errors(seed, chars, k, pieces, foreig
         return
     assert tok.vocab.decode(ids) == text
     assert ids == tokenize_incremental(tok, text)
+
+
+@FUZZ
+@given(st.sampled_from(["bpe", "maxmatch", "segmentations"]), not_text)
+def test_tokenizers_take_only_str_text(reader, value):
+    tok = random_merge_tokenizer(random.Random(0), "ab", 3)
+    read = {"bpe": tok.tokenize, "maxmatch": lambda t: maxmatch_tokenize(t, tok.vocab),
+            "segmentations": lambda t: next(iter_segmentations(t, tok.vocab))}[reader]
+    with pytest.raises(ConfigError, match="text must be a str, got "):
+        read(value)
 
 
 files = st.sampled_from(["vocab.txt", "merges.txt", "m.json", "missing.txt", "."])
