@@ -39,16 +39,19 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--dot", help="also write a DOT rendering here")
     p.add_argument("--stats", action="store_true", help="print one line per promotion stage")
+    p.set_defaults(run=_cmd_promote)
 
     p = sub.add_parser("tokenize", help="run a tokenizer on a string")
     p.add_argument("--mode", required=True, choices=("maxmatch", "bpe"))
     p.add_argument("--vocab", required=True)
     p.add_argument("--merges")
     p.add_argument("--input", required=True)
+    p.set_defaults(run=_cmd_tokenize)
 
     p = sub.add_parser("enumerate", help="list accepted token sequences up to a length")
     p.add_argument("--automaton", required=True)
     p.add_argument("--max-len", type=int, required=True)
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("check", help="compare a promotion against the tokenizer oracle")
     p.add_argument("--pattern", required=True)
@@ -56,14 +59,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--merges")
     p.add_argument("--mode", required=True, choices=("agnostic", "maxmatch", "bpe"))
     p.add_argument("--max-len", type=int, required=True)
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("mask", help="print the tokens allowed after a prefix")
     p.add_argument("--automaton", required=True)
     p.add_argument("--prefix", default="", help="space-separated token strings")
+    p.set_defaults(run=_cmd_mask)
 
     p = sub.add_parser("dot", help="render an automaton file as DOT")
     p.add_argument("--automaton", required=True)
     p.add_argument("--out", help="write here instead of stdout")
+    p.set_defaults(run=_cmd_dot)
 
     return parser
 
@@ -106,7 +112,7 @@ def _cmd_tokenize(args, parser) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, parser) -> int:
     d = load_automaton(args.automaton)
     table = d.table
     seqs = enumerate_language(d, args.max_len)
@@ -128,7 +134,7 @@ def _cmd_check(args, parser) -> int:
     return 1
 
 
-def _cmd_mask(args) -> int:
+def _cmd_mask(args, parser) -> int:
     d = load_automaton(args.automaton)
     state = constraint_begin(d)
     for token in args.prefix.split():
@@ -138,7 +144,7 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-def _cmd_dot(args) -> int:
+def _cmd_dot(args, parser) -> int:
     d = load_automaton(args.automaton)
     text = export_dot(d, args.out)
     if args.out is None:
@@ -152,17 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "max_len", 0) < 0:
             parser.error("argument --max-len: must not be negative")
-        if args.command == "promote":
-            return _cmd_promote(args, parser)
-        if args.command == "tokenize":
-            return _cmd_tokenize(args, parser)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "check":
-            return _cmd_check(args, parser)
-        if args.command == "mask":
-            return _cmd_mask(args)
-        return _cmd_dot(args)
+        return args.run(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (TokfstError, OSError) as exc:

@@ -435,11 +435,13 @@ def trim(a: Fst) -> Fst:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Canonical minimal form of a deterministic acceptor.
+    """Minimal form of a deterministic acceptor.
 
     Trims first, so dead states never influence the partition; the transition
     function may be partial (a missing arc is simply a reject). The result is
-    trim; when no two states merge, it is the trim machine itself.
+    trim; when no two states merge, it is the trim machine itself. It keeps
+    its input's state order, so it is in canonical form when the input is,
+    as every machine the library builds is.
     """
     if not isinstance(d, Dfa):
         d = Dfa.from_fst(d)
@@ -519,10 +521,16 @@ def _step(a: Fst, states: frozenset[int], sym: int) -> frozenset[int]:
 
 
 def accepts(a: Fst, seq: Iterable[int]) -> bool:
-    """Does the acceptor accept this symbol-id sequence?"""
+    """Does the acceptor accept this sequence of `int` symbol ids?"""
+    try:
+        syms = tuple(seq)
+    except TypeError:
+        syms = None
+    if syms is None or any(type(sym) is not int for sym in syms):
+        raise ConfigError(f"symbols must be a sequence of int ids, got {seq!r}")
     a = _failure_free(a)
     states = frozenset(_reach([a.start], a._eps_next))
-    for sym in seq:
+    for sym in syms:
         states = _step(a, states, sym)
         if not states:
             return False

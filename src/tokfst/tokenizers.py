@@ -43,7 +43,7 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocabulary":
-        return cls(SymbolTable(tuple(tokens)))
+        return cls(SymbolTable(tokens))
 
     @cached_property
     def max_token_len(self) -> int:

@@ -22,6 +22,7 @@ from tokfst import (
     epsilon_remove,
     minimize,
     project_output,
+    promote_agnostic,
     trim,
 )
 from tokfst.errors import ConfigError
@@ -263,6 +264,21 @@ def test_failure_arc_blocked_by_matching_sibling():
     assert not accepts(m, (A,))
     assert not accepts(m, (B,))
     assert enumerate_language(m, 4) == set()
+
+
+def test_accepts_takes_only_int_ids():
+    v = Vocabulary.from_tokens(["a", "b", "ab"])
+    d = promote_agnostic(compile_pattern("(a|b)*", v.table), v).dfa
+    assert accepts(d, v.table.ids(["ab", "a"])) and accepts(d, [])
+    assert accepts(d, iter(v.table.ids(["b", "ab"])))
+    # floats and bools equal to an id, text, None items and no sequence at all
+    for seq in [(2.0,), (True,), "ab", [None], None, 5]:
+        with pytest.raises(ConfigError, match="symbols must be a sequence of int ids"):
+            accepts(d, seq)
+    m = _phi_machine()
+    assert accepts(m, [A, B]) and not accepts(m, [A])
+    with pytest.raises(ConfigError, match="symbols must be a sequence of int ids"):
+        accepts(m, (float(A),))
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,9 @@ def _digest_score(seed, context, candidate):
 
 
 def test_stub_lm_scores_match_the_digest_of_the_whole_context():
-    # the scorer keeps the last context's hash; a list grown or changed in
-    # place, as constrained_decode passes it, or a new seed must not reuse it
+    # a score depends only on the current seed, context and candidate: a list
+    # grown or changed in place, as constrained_decode passes it, and a
+    # reassigned seed score by their values at the call
     rng = random.Random(44)
     lm = StubLM(0)
     context: list[int] = []

@@ -287,6 +287,12 @@ def test_vocabulary_requires_character_coverage():
         Vocabulary.from_tokens(["ab"])
 
 
+def test_vocabulary_from_tokens_raises_the_tables_error():
+    with pytest.raises(AlphabetError, match="tokens 5 are not a collection of strings"):
+        Vocabulary.from_tokens(5)
+    assert Vocabulary.from_tokens(t for t in "ab").table.tokens == ("a", "b")
+
+
 # ---------------------------------------------------------------------------
 # training
 
