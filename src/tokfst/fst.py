@@ -141,11 +141,6 @@ class Fst:
         return tuple(Transition(q, *arc) for q in sorted(self.arcs) for arc in self.arcs[q])
 
     @cached_property
-    def _eps_next(self) -> dict[int, list[int]]:
-        """Targets of each state's epsilon-input arcs."""
-        return _eps_targets(self, 0)
-
-    @cached_property
     def _moves(self) -> dict[int, dict[int, tuple[tuple[int, int], ...]]]:
         """Each state's (output, target) moves by input label, in arc order:
         the index `compose` reads of its right operand. Sorted arcs keep
@@ -195,9 +190,60 @@ def _reach(roots: Iterable[int], edges: Mapping[int, Iterable[int]]) -> set[int]
     return seen
 
 
-def _eps_targets(t: Fst, side: int) -> dict[int, list[int]]:
-    """Targets of each state's arcs with EPSILON on input (side 0) or output (1)."""
-    return {q: [arc[2] for arc in arcs if arc[side] == EPSILON] for q, arcs in t.arcs.items()}
+def _expansion(t: Fst, side: int, merged: list | None = None):
+    """The one walk over silent arcs. `expand(key)` closes a key of states
+    under the arcs whose label on `side` (0 input, 1 output) is EPSILON, and
+    returns whether the closure holds a final state and its moves as (label,
+    label, frozenset of the raw targets) triples sorted by label. Each key
+    in which a label led to two targets is appended to `merged`, if given."""
+    # per state that has arcs: the targets of its silent arcs and its
+    # (label, target) pairs, split once so each key's walk reads only lists
+    split: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+    for q, arcs in t.arcs.items():
+        silent, emits = split[q] = [], []
+        for arc in arcs:
+            label = arc[side]
+            if label == EPSILON:
+                silent.append(arc[2])
+            else:
+                emits.append((label, arc[2]))
+    split_of, no_arcs = split.get, ((), ())
+    # a label that reaches one target leads to that target's one shared
+    # key, whose hash `_discover` computes once
+    singles: dict[int, frozenset[int]] = {}
+    single_of = singles.get
+    finals = t.finals
+
+    def expand(key: Iterable[int]) -> tuple[bool, list[tuple[int, int, frozenset[int]]]]:
+        seen = set(key)
+        stack = list(seen)
+        first: dict[int, int] = {}  # label: the first target it reached
+        more: dict[int, set[int]] = {}  # label: every target, once it reached two
+        while stack:
+            silent, emits = split_of(stack.pop(), no_arcs)
+            for label, dst in emits:
+                if first.setdefault(label, dst) != dst:
+                    more.setdefault(label, {first[label]}).add(dst)
+            for r in silent:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        if more and merged is not None:
+            merged.append(key)
+        moves = []
+        for label in sorted(first):
+            dsts = more.get(label)
+            if dsts is None:
+                dst = first[label]
+                target = single_of(dst)
+                if target is None:
+                    target = singles[dst] = frozenset((dst,))
+            else:
+                target = frozenset(dsts)
+            moves.append((label, label, target))
+        return not finals.isdisjoint(seen), moves
+
+    return expand
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +310,18 @@ def compose(left: Fst, right: Fst) -> Fst:
 
     r_moves = right._moves  # the right machine's (output, target) moves by state and input
 
-    # left moves that emit nothing; a failure chain looks through them
-    silent_next = _eps_targets(left, 1)
+    # a failure chain looks through the left moves that emit nothing: per
+    # left state, the labels it can still emit and whether it can end
+    emitting = _expansion(left, 1)
+    ahead: dict[int, tuple[set[int], bool]] = {}
 
     def chain_viable(l: int, r: int, blocked: frozenset[int]) -> bool:
         # Can a failure chain at right-state r ever consume a label the left
         # machine still emits, or land on finality for both sides?
-        silent = _reach([l], silent_next)
-        can_emit = {out for q in silent for _, out, _ in left.arcs.get(q, ())} - {EPSILON}
-        can_end = not left.finals.isdisjoint(silent)
+        if l not in ahead:
+            can_end, moves = emitting((l,))
+            ahead[l] = {label for label, _, _ in moves}, can_end
+        can_emit, can_end = ahead[l]
         seen = set()
         while r not in seen:
             seen.add(r)
@@ -326,21 +375,23 @@ def project_output(t: Fst) -> Fst:
 
 
 def epsilon_remove(a: Fst) -> Fst:
-    """Remove epsilon arcs from an acceptor via per-state transitive closure.
+    """Remove epsilon arcs from an acceptor: each state with arcs takes the
+    finality and the labelled arcs of the states its epsilon arcs reach.
 
     Cycles of epsilon arcs are fine. The result keeps the same state set and
     may be nondeterministic.
     """
     _require_acceptor(a, "epsilon_remove")
+    expand = _expansion(a, 0)
     arcs: dict[int, tuple[tuple[int, int, int], ...]] = {}
     finals = set(a.finals)
     for q in a.arcs:
-        reach = _reach([q], a._eps_next)
-        if not a.finals.isdisjoint(reach):
+        final, moves = expand((q,))
+        if final:
             finals.add(q)
-        q_arcs = {arc for r in reach for arc in a.arcs.get(r, ()) if arc[0] != EPSILON}
+        q_arcs = tuple((label, label, dst) for label, _, dsts in moves for dst in sorted(dsts))
         if q_arcs:
-            arcs[q] = tuple(sorted(q_arcs))
+            arcs[q] = q_arcs
     return Fst._trusted(a.table, a.num_states, a.start, frozenset(finals), arcs)
 
 
@@ -354,57 +405,10 @@ def determinize(a: Fst) -> Dfa:
 
 def _output_subsets(t: Fst) -> tuple[Dfa, bool]:
     """Projection, epsilon removal and determinization in one walk: a subset
-    construction over the output side of a failure-free machine. A key is
-    the set of raw targets one label leads to, expanded through its closure
-    under arcs that emit nothing. The flag is True iff no label of any key
-    led to two targets."""
-    # per state: the targets of its silent arcs and its emitting (output,
-    # target) pairs, split once so each key's walk reads only lists
-    silent: list[list[int]] = [[] for _ in range(t.num_states)]
-    emits: list[list[tuple[int, int]]] = [[] for _ in range(t.num_states)]
-    for q, arcs in t.arcs.items():
-        for _, out, dst in arcs:
-            if out == EPSILON:
-                silent[q].append(dst)
-            else:
-                emits[q].append((out, dst))
-    # a label that reaches one target leads to that target's one shared
-    # key, whose hash `_discover` computes once
-    singles: dict[int, frozenset[int]] = {}
-    finals = t.finals
-    deterministic = True
-
-    def expand(key: frozenset[int]) -> tuple[bool, list[tuple[int, int, frozenset]]]:
-        nonlocal deterministic
-        seen = set(key)
-        stack = list(key)
-        first: dict[int, int] = {}  # label: the first target it reached
-        more: dict[int, set[int]] = {}  # label: every target, once it reached two
-        while stack:
-            q = stack.pop()
-            for out, dst in emits[q]:
-                if first.setdefault(out, dst) != dst:
-                    more.setdefault(out, {first[out]}).add(dst)
-            for r in silent[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        if more:
-            deterministic = False
-        moves = []
-        for sym in sorted(first):
-            dsts = more.get(sym)
-            if dsts is None:
-                dst = first[sym]
-                target = singles.get(dst)
-                if target is None:
-                    target = singles[dst] = frozenset((dst,))
-            else:
-                target = frozenset(dsts)
-            moves.append((sym, sym, target))
-        return not finals.isdisjoint(seen), moves
-
-    return _discover(Dfa, t.table, frozenset([t.start]), expand), deterministic
+    construction over the output side of a failure-free machine. The flag
+    is True iff no label of any key led to two targets."""
+    merged: list = []
+    return _discover(Dfa, t.table, frozenset([t.start]), _expansion(t, 1, merged)), not merged
 
 
 def trim(a: Fst) -> Fst:
@@ -515,13 +519,8 @@ def _failure_free(a: Fst) -> Fst:
     return compose(Fst._trusted(a.table, 1, 0, frozenset([0]), {0: loop} if loop else {}), a)
 
 
-def _step(a: Fst, states: frozenset[int], sym: int) -> frozenset[int]:
-    targets = (dst for q in states for inp, _, dst in a.arcs.get(q, ()) if inp == sym)
-    return frozenset(_reach(targets, a._eps_next))
-
-
 def accepts(a: Fst, seq: Iterable[int]) -> bool:
-    """Does the acceptor accept this sequence of `int` symbol ids?"""
+    """Does the machine accept this sequence of `int` ids on its input side?"""
     try:
         syms = tuple(seq)
     except TypeError:
@@ -529,18 +528,19 @@ def accepts(a: Fst, seq: Iterable[int]) -> bool:
     if syms is None or any(type(sym) is not int for sym in syms):
         raise ConfigError(f"symbols must be a sequence of int ids, got {seq!r}")
     a = _failure_free(a)
-    states = frozenset(_reach([a.start], a._eps_next))
+    expand = _expansion(a, 0)
+    key: Iterable[int] = (a.start,)
     for sym in syms:
-        states = _step(a, states, sym)
-        if not states:
+        key = next((dsts for label, _, dsts in expand(key)[1] if label == sym), None)
+        if key is None:
             return False
-    return not a.finals.isdisjoint(states)
+    return expand(key)[0]
 
 
 def enumerate_language(
     a: Fst, max_len: int, *, max_paths: int = 1_000_000
 ) -> set[tuple[int, ...]]:
-    """All accepted sequences of at most `max_len` symbols.
+    """All sequences of at most `max_len` symbols accepted on the input side.
 
     Exploration is capped at `max_paths` expansions; going over raises
     EnumerationError rather than silently truncating the answer.
@@ -548,12 +548,13 @@ def enumerate_language(
     check_count("max_len", max_len)
     check_count("max_paths", max_paths)
     a = _failure_free(a)
+    expand = _expansion(a, 0)
+    expanded: dict[frozenset[int], tuple[bool, list]] = {}
     results: set[tuple[int, ...]] = set()
-    start = frozenset(_reach([a.start], a._eps_next))
-    queue: deque[tuple[tuple[int, ...], frozenset[int]]] = deque([((), start)])
+    queue: deque[tuple[tuple[int, ...], frozenset[int]]] = deque([((), frozenset([a.start]))])
     explored = 0
     while queue:
-        seq, states = queue.popleft()
+        seq, key = queue.popleft()
         explored += 1
         if explored > max_paths:
             raise EnumerationError(
@@ -561,15 +562,11 @@ def enumerate_language(
                 f"({len(results)} sequences found so far)",
                 len(results),
             )
-        if not a.finals.isdisjoint(states):
+        final, moves = expanded.get(key) or expanded.setdefault(key, expand(key))
+        if final:
             results.add(seq)
-        if len(seq) == max_len:
-            continue
-        candidates = {inp for q in states for inp, _, _ in a.arcs.get(q, ()) if inp != EPSILON}
-        for sym in sorted(candidates):
-            nxt = _step(a, states, sym)
-            if nxt:
-                queue.append((seq + (sym,), nxt))
+        if len(seq) < max_len:
+            queue.extend((seq + (label,), dsts) for label, _, dsts in moves)
     return results
 
 

@@ -126,6 +126,8 @@ def constrained_decode(
     called on every step. The tokenizer must be over the automaton's table.
     """
     check_count("max_steps", max_steps)
+    if not callable(getattr(lm, "score", None)):
+        raise ConfigError(f"lm must be a TokenScorer with a score method, got {type(lm).__name__}")
     if retokenize_with is not None and not callable(retokenize_with):
         raise ConfigError(f"retokenize_with must be callable, got {retokenize_with!r}")
     q = constraint_begin(d).state

@@ -68,7 +68,14 @@ class PromotionResult:
     stats: tuple[StageStats, ...]
 
 
+def _require(value: object, cls: type) -> None:
+    """A swapped argument fails here, before any work."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
 def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
+    _require(v, Vocabulary)
     if a.table != v.table:
         raise AlphabetError("pattern automaton and vocabulary use different symbol tables")
     if not isinstance(a, Dfa):
@@ -129,6 +136,9 @@ def promote_bpe(
     """Token-level automaton accepting only byte-pair segmentations: the
     bigram walk with `t.bigram_tables`. One stage, labelled "bigram", whose
     clock covers the whole call but the one stage_hook call after it."""
+    _require(t, BpeTokenizer)
+    if stage_hook is not None and not callable(stage_hook):
+        raise ConfigError(f"stage_hook must be callable, got {type(stage_hook).__name__}")
     walk = lambda d: (_bigram_product(d, t.vocab, t.bigram_tables), True)
     result = _stage(a, t.vocab, "bpe", "bigram", walk)
     if stage_hook is not None:
@@ -165,6 +175,7 @@ def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:
     operator each: the paper's construction. Exponentially worse than
     promote_bpe on adversarial inputs; kept as a cross-check of its walk.
     """
+    _require(t, BpeTokenizer)
     a = _checked_pattern(a, t.vocab)
     table = t.vocab.table
     if not a.finals or not t.merges:
@@ -226,11 +237,11 @@ def _check_oracle_args(
     mode: str, v: Vocabulary, max_chars: int, tokenizer: BpeTokenizer | None
 ) -> None:
     check_count("max_chars", max_chars)
+    _require(v, Vocabulary)
     if mode not in ("agnostic", "maxmatch", "bpe"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "bpe":
-        if tokenizer is None:
-            raise ConfigError("bpe mode needs a tokenizer")
+        _require(tokenizer, BpeTokenizer)
         if tokenizer.vocab != v:
             raise ConfigError("the tokenizer is over another vocabulary")
 

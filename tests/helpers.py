@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 
 from tokfst import (
     END_OF_SEQUENCE,
@@ -41,7 +42,7 @@ from tokfst import (
     promote_bpe,
     trim,
 )
-from tokfst.fst import _output_subsets
+from tokfst.fst import _failure_free, _output_subsets
 from tokfst.lexicon import TokenTrie, build_token_trie
 from tokfst.symbols import RESERVED
 
@@ -552,6 +553,86 @@ def draw_until(make, limit: int = 500):
         if candidate is not None:
             return candidate
     raise AssertionError("rejection sampling failed to produce an instance")
+
+
+# ---------------------------------------------------------------------------
+# the closure walk `accepts` and `enumerate_language` replaced
+
+
+def random_silent_machine(rng: random.Random, table: SymbolTable, max_states: int = 6,
+                          max_arcs: int = 10) -> Fst:
+    """A machine for the closure oracles: an acceptor or a transducer whose
+    arcs may carry ε on either side, with at most one φ per state. Start
+    and finals are random; an acceptor's φ arcs emit ε."""
+    syms = sorted(table.token_ids())
+    n = rng.randint(1, max_states)
+    acceptor = rng.random() < 0.5
+    arcs, failing = [], set()
+    for _ in range(rng.randint(0, max_arcs)):
+        q = rng.randrange(n)
+        inp = FAILURE if rng.random() < 0.1 else rng.choice([EPSILON, *syms])
+        if inp == FAILURE:
+            if q in failing:
+                continue
+            failing.add(q)
+            out = EPSILON if acceptor else rng.choice([EPSILON, *syms])
+        else:
+            out = inp if acceptor else rng.choice([EPSILON, *syms])
+        arcs.append(Transition(q, inp, out, rng.randrange(n)))
+    finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+    return Fst(table, n, rng.randrange(n), finals, arcs)
+
+
+def _closed(a: Fst, roots) -> frozenset[int]:
+    """The roots and every state their ε-input arcs reach."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for inp, _, dst in a.arcs.get(stack.pop(), ()):
+            if inp == EPSILON and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return frozenset(seen)
+
+
+def _stepped(a: Fst, states: frozenset[int], sym: int) -> frozenset[int]:
+    return _closed(a, [dst for q in states for inp, _, dst in a.arcs.get(q, ()) if inp == sym])
+
+
+def reference_accepts(a: Fst, seq) -> bool:
+    """`accepts` over the input side as a closed set of states, stepped one
+    symbol at a time; φ arcs are first resolved by `compose`."""
+    a = _failure_free(a)
+    states = _closed(a, [a.start])
+    for sym in seq:
+        states = _stepped(a, states, sym)
+        if not states:
+            return False
+    return not a.finals.isdisjoint(states)
+
+
+def reference_enumerate(a: Fst, max_len: int, max_paths: int = 1_000_000) -> set[tuple[int, ...]]:
+    """`enumerate_language` over closed sets of states, breadth first with
+    sorted symbols, raising the same `EnumerationError` past `max_paths`."""
+    a = _failure_free(a)
+    results: set[tuple[int, ...]] = set()
+    queue = deque([((), _closed(a, [a.start]))])
+    explored = 0
+    while queue:
+        seq, states = queue.popleft()
+        explored += 1
+        if explored > max_paths:
+            raise EnumerationError(f"enumeration exceeded {max_paths} paths", len(results))
+        if not a.finals.isdisjoint(states):
+            results.add(seq)
+        if len(seq) == max_len:
+            continue
+        candidates = {inp for q in states for inp, _, _ in a.arcs.get(q, ()) if inp != EPSILON}
+        for sym in sorted(candidates):
+            nxt = _stepped(a, states, sym)
+            if nxt:
+                queue.append((seq + (sym,), nxt))
+    return results
 
 
 # ---------------------------------------------------------------------------

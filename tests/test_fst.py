@@ -36,7 +36,10 @@ from helpers import (
     minimal_state_count,
     random_partial_dfa,
     random_pattern_dfa,
+    random_silent_machine,
     random_transducer,
+    reference_accepts,
+    reference_enumerate,
 )
 
 AB = SymbolTable(["a", "b"])
@@ -581,6 +584,45 @@ def test_enumeration_budget():
             enumerate_language(machine, -1)
         with pytest.raises(ConfigError, match="max_paths must not be negative"):
             enumerate_language(machine, 4, max_paths=-1)
+
+
+def _enumerated(enumerate_, m, max_len, max_paths):
+    try:
+        return enumerate_(m, max_len, max_paths=max_paths)
+    except EnumerationError as e:
+        return "overrun", e.partial_count
+
+
+def test_closure_operations_match_the_stepped_closure_walk():
+    """`accepts`, `enumerate_language`, `epsilon_remove` and `determinize`
+    against closed sets of states stepped one symbol at a time, on 3,000
+    seeded acceptors and transducers with ε on either side and φ arcs."""
+    table = SymbolTable(["a", "b", "c"])
+    syms = sorted(table.token_ids())
+    rng = random.Random(7)
+    overruns = acceptors = 0
+    for _ in range(3000):
+        m = random_silent_machine(rng, table)
+        max_paths = rng.choice([2, 8, 40, 1_000_000])
+        got = _enumerated(enumerate_language, m, 4, max_paths)
+        assert got == _enumerated(reference_enumerate, m, 4, max_paths), m
+        overruns += isinstance(got, tuple)
+        language = reference_enumerate(m, 4)
+        seqs = [tuple(rng.choices(syms, k=rng.randint(0, 4))) for _ in range(4)]
+        for seq in [*seqs, *language]:
+            assert accepts(m, seq) == reference_accepts(m, seq), (m, seq)
+        if not all(t.inp == t.out != FAILURE for t in m.transitions):
+            for op in (epsilon_remove, determinize):
+                with pytest.raises(ConfigError):
+                    op(m)
+            continue
+        acceptors += 1
+        removed = epsilon_remove(m)
+        assert removed.num_states == m.num_states
+        assert all(t.inp != EPSILON for t in removed.transitions)
+        assert reference_enumerate(removed, 4) == language
+        assert reference_enumerate(determinize(m), 4) == language
+    assert overruns > 500 and acceptors > 1000
 
 
 def test_determinize_requires_clean_acceptor():

@@ -5,7 +5,10 @@ import os
 import random
 import re
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -542,6 +545,40 @@ def test_cli_machines_grow_with_their_arcs_not_their_state_count(workdir, capsys
     assert re.findall(r"^  \d+ \[shape=\w+\];$", out, re.M) == ["  0 [shape=doublecircle];"]
     assert '  0 -> 0 [label="r:r"];' in out
     assert time.perf_counter() - started < 2
+
+
+# Every `fst` operation on a machine that declares 10^12 states and has one
+# arc. It runs in a child process whose address space is capped at 1 GiB, so
+# an operation that sized a table by the declared count fails with
+# MemoryError instead of exhausting the machine that runs the suite.
+HUGE_MACHINE_OPERATIONS = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tokfst import (Fst, SymbolTable, accepts, canonical_form, compose, determinize,
+                    enumerate_language, epsilon_remove, minimize, trim)
+t = SymbolTable(["a"])
+(a,) = t.ids(["a"])
+huge = Fst(t, 10**12, 0, {0}, [(0, a, a, 0)])
+small = Fst(t, 1, 0, {0}, [(0, a, a, 0)])
+started = time.perf_counter()
+assert determinize(huge) == minimize(huge) == canonical_form(huge)
+assert determinize(huge).arcs == {0: ((a, a, 0),)}
+assert epsilon_remove(huge).arcs == huge.arcs
+assert accepts(huge, (a, a)) and enumerate_language(huge, 2) == {(), (a,), (a, a)}
+assert compose(huge, small).arcs == compose(small, huge).arcs == small.arcs
+assert trim(huge).num_states == 1
+print(time.perf_counter() - started)
+"""
+
+
+def test_operations_on_machines_grow_with_their_arcs_not_their_state_count():
+    src = str(Path(tokfst.__file__).parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", HUGE_MACHINE_OPERATIONS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 1
 
 
 def test_cli_error_exits(workdir, capsys):

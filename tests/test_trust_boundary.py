@@ -40,6 +40,9 @@ from tokfst import (
     maxmatch_tokenize,
     minimize,
     promote_agnostic,
+    promote_bpe,
+    promote_bpe_chained,
+    promote_maxmatch,
     trim,
 )
 from tokfst.cli import main
@@ -346,3 +349,25 @@ def test_bounds_must_be_non_negative_ints(name, bound):
     else:
         with pytest.raises(ConfigError, match="must (be an int|not be negative)"):
             BOUNDED[name](bound)
+
+
+def test_swapped_arguments_are_config_errors():
+    # each call is refused before any work, with the type it expected named
+    tok = random_merge_tokenizer(random.Random(0), "ab", 3)
+    v = tok.vocab
+    a = compile_pattern("(a|b)*", v.table)
+    d = promote_agnostic(a, v).dfa
+    calls = [
+        (lambda: promote_agnostic(a, tok), "expected a Vocabulary, got BpeTokenizer"),
+        (lambda: promote_maxmatch(a, "x"), "expected a Vocabulary, got str"),
+        (lambda: promote_bpe(a, v), "expected a BpeTokenizer, got Vocabulary"),
+        (lambda: promote_bpe_chained(a, v), "expected a BpeTokenizer, got Vocabulary"),
+        (lambda: check_promotion(a, v, "bpe", 4, v), "expected a BpeTokenizer, got Vocabulary"),
+        (lambda: expected_promotion(a, tok, "agnostic", 4), "expected a Vocabulary, got BpeTokenizer"),
+        (lambda: promote_bpe(a, tok, stage_hook=5), "stage_hook must be callable, got int"),
+        (lambda: constrained_decode(5, d), "must be a TokenScorer with a score method, got int"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ConfigError, match=message):
+            call()
+    assert "bigram_tables" not in vars(tok)  # no promotion ran
