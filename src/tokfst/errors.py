@@ -13,8 +13,9 @@ class ConfigError(TokfstError):
     """Machines or tokenizer pieces were combined inconsistently."""
 
 
-class ValidationError(TokfstError):
-    """A vocabulary, merge list or serialized file violates its format."""
+class ValidationError(TokfstError, ValueError):
+    """A machine, vocabulary, merge list or serialized file violates its
+    format. Also a `ValueError`, as a bad argument value."""
 
 
 class PatternSyntaxError(TokfstError):

@@ -163,7 +163,7 @@ def load_automaton(path: str | Path) -> Dfa:
             frozenset(doc["finals"]),
             transitions,
         )
-    except (AlphabetError, ValueError) as exc:
+    except (AlphabetError, ValidationError) as exc:
         # A JSON row that is not a list of 4 fails `Dfa` too: a string or an
         # object unpacks to strings, anything else not at all. So only a file
         # that fails looks for such a row, and that row's error comes first.

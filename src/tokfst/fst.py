@@ -21,7 +21,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .errors import ConfigError, EnumerationError, check_count
+from .errors import ConfigError, EnumerationError, ValidationError, check_count
 from .symbols import EPSILON, FAILURE, RESERVED, SymbolTable
 
 
@@ -55,23 +55,23 @@ class Fst:
         """Check a machine given by a caller and store its arcs; operations
         use `_trusted` instead, because valid operands yield valid results."""
         if not isinstance(self.table, SymbolTable):
-            raise ValueError(f"table must be a SymbolTable, not {type(self.table).__name__}")
+            raise ValidationError(f"table must be a SymbolTable, not {type(self.table).__name__}")
         try:
             object.__setattr__(self, "finals", frozenset(self.finals))
         except TypeError:
-            raise ValueError(f"finals {self.finals!r} are not a collection of states") from None
+            raise ValidationError(f"finals {self.finals!r} are not a collection of states") from None
         # `type(...) is int` also rejects bools, as `load_automaton` does
         if type(self.num_states) is not int or type(self.start) is not int:
-            raise ValueError("num_states and start must be integers")
+            raise ValidationError("num_states and start must be integers")
         if self.num_states < 1:
-            raise ValueError("a machine needs at least one state")
+            raise ValidationError("a machine needs at least one state")
         if not 0 <= self.start < self.num_states:
-            raise ValueError(f"start state {self.start} out of range")
+            raise ValidationError(f"start state {self.start} out of range")
         for q in self.finals:
             if type(q) is not int:
-                raise ValueError(f"final state {q!r} is not an integer")
+                raise ValidationError(f"final state {q!r} is not an integer")
             if not 0 <= q < self.num_states:
-                raise ValueError(f"final state {q} out of range")
+                raise ValidationError(f"final state {q} out of range")
         n = self.num_states
         end = RESERVED + len(self.table)
         deterministic = isinstance(self, Dfa)
@@ -79,12 +79,12 @@ class Fst:
         try:
             rows = iter(self.arcs)
         except TypeError:
-            raise ValueError(f"transitions {self.arcs!r} are not a collection of rows") from None
+            raise ValidationError(f"transitions {self.arcs!r} are not a collection of rows") from None
         for row in rows:
             try:
                 src, inp, out, dst = row
             except (TypeError, ValueError):
-                raise ValueError(f"transition {row!r} is not a (src, inp, out, dst) row") from None
+                raise ValidationError(f"transition {row!r} is not a (src, inp, out, dst) row") from None
             # A valid row passes this one test. An `Fst` input is ε, φ or a
             # token, the ids below `end` (EPSILON and FAILURE are 0 and 1); an
             # output is ε or a token. A `Dfa` arc is a token on both sides.
@@ -107,7 +107,7 @@ class Fst:
                 problem = "is not allowed in a deterministic acceptor"
             else:  # deterministic and inp != out, as the test failed
                 problem = "is not an acceptor arc"
-            raise ValueError(f"transition {Transition(src, inp, out, dst)} {problem}")
+            raise ValidationError(f"transition {Transition(src, inp, out, dst)} {problem}")
         arcs = {q: tuple(sorted(q_arcs)) for q, q_arcs in by_src.items()}
         for q, q_arcs in arcs.items():
             inputs = tuple(map(itemgetter(0), q_arcs))
@@ -116,9 +116,9 @@ class Fst:
             if deterministic:
                 if len(set(inputs)) < len(inputs):
                     sym = next(a for a, b in zip(inputs, inputs[1:]) if a == b)
-                    raise ValueError(f"state {q} has two arcs on symbol {sym}")
+                    raise ValidationError(f"state {q} has two arcs on symbol {sym}")
             elif inputs.count(FAILURE) > 1:
-                raise ValueError(f"state {q} has more than one failure arc")
+                raise ValidationError(f"state {q} has more than one failure arc")
         object.__setattr__(self, "arcs", arcs)
 
     @classmethod
@@ -192,27 +192,16 @@ def _reach(roots: Iterable[int], edges: Mapping[int, Iterable[int]]) -> set[int]
 
 def _expansion(t: Fst, side: int, merged: list | None = None):
     """The one walk over silent arcs. `expand(key)` closes a key of states
-    under the arcs whose label on `side` (0 input, 1 output) is EPSILON, and
+    under the arcs whose label on `side` (0 input, 1 output) is EPSILON,
+    reading the stored arcs of the states it reaches and no others, and
     returns whether the closure holds a final state and its moves as (label,
     label, frozenset of the raw targets) triples sorted by label. Each key
     in which a label led to two targets is appended to `merged`, if given."""
-    # per state that has arcs: the targets of its silent arcs and its
-    # (label, target) pairs, split once so each key's walk reads only lists
-    split: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-    for q, arcs in t.arcs.items():
-        silent, emits = split[q] = [], []
-        for arc in arcs:
-            label = arc[side]
-            if label == EPSILON:
-                silent.append(arc[2])
-            else:
-                emits.append((label, arc[2]))
-    split_of, no_arcs = split.get, ((), ())
+    arcs_of, finals = t.arcs.get, t.finals
     # a label that reaches one target leads to that target's one shared
     # key, whose hash `_discover` computes once
     singles: dict[int, frozenset[int]] = {}
     single_of = singles.get
-    finals = t.finals
 
     def expand(key: Iterable[int]) -> tuple[bool, list[tuple[int, int, frozenset[int]]]]:
         seen = set(key)
@@ -220,14 +209,14 @@ def _expansion(t: Fst, side: int, merged: list | None = None):
         first: dict[int, int] = {}  # label: the first target it reached
         more: dict[int, set[int]] = {}  # label: every target, once it reached two
         while stack:
-            silent, emits = split_of(stack.pop(), no_arcs)
-            for label, dst in emits:
-                if first.setdefault(label, dst) != dst:
+            for arc in arcs_of(stack.pop(), ()):
+                label, dst = arc[side], arc[2]
+                if label == EPSILON:
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+                elif first.setdefault(label, dst) != dst:
                     more.setdefault(label, {first[label]}).add(dst)
-            for r in silent:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
         if more and merged is not None:
             merged.append(key)
         moves = []
@@ -336,31 +325,29 @@ def compose(left: Fst, right: Fst) -> Fst:
             r = r_moves[r][FAILURE][0][1]
         return False
 
-    # state keys: ("s", l, r) plain pairs; ("f", l, r, blocked) partway down
-    # a failure chain, where blocked holds the labels of the walked states.
+    # state keys (l, r, blocked): blocked is None for a plain pair, and
+    # partway down a failure chain the labels of the walked states
     def expand(key: tuple) -> tuple[bool, Iterable[tuple[int, int, tuple]]]:
+        l, r, blocked = key
         moves = []
-        here = r_moves.get(key[2], {})
-        if key[0] == "s":
-            _, l, r = key
-            blocked: frozenset[int] = frozenset()
+        here = r_moves.get(r, {})
+        if blocked is None:
             for out, dst in here.get(EPSILON, ()):
-                moves.append((EPSILON, out, ("s", l, dst)))
-        else:
-            _, l, r, blocked = key
+                moves.append((EPSILON, out, (l, dst, None)))
+        banned = blocked or frozenset()
         for inp, mid, l_dst in left.arcs.get(l, ()):
             if mid == EPSILON:
-                moves.append((inp, EPSILON, (*key[:1], l_dst, *key[2:])))
-            elif mid in here and mid not in blocked:
+                moves.append((inp, EPSILON, (l_dst, r, blocked)))
+            elif mid in here and mid not in banned:
                 for out, r_dst in here[mid]:
-                    moves.append((inp, out, ("s", l_dst, r_dst)))
+                    moves.append((inp, out, (l_dst, r_dst, None)))
         for out, r_dst in here.get(FAILURE, ()):
-            walked = frozenset(blocked | (here.keys() - {EPSILON, FAILURE}))
+            walked = banned | (here.keys() - {EPSILON, FAILURE})
             if chain_viable(l, r_dst, walked):
-                moves.append((EPSILON, out, ("f", l, r_dst, walked)))
+                moves.append((EPSILON, out, (l, r_dst, walked)))
         return l in left.finals and r in right.finals, dict.fromkeys(moves)
 
-    return _discover(Fst, left.table, ("s", left.start, right.start), expand)
+    return _discover(Fst, left.table, (left.start, right.start, None), expand)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +480,7 @@ def canonical_form(d: Dfa) -> Dfa:
     """Renumber states in breadth-first discovery order over sorted labels.
 
     Minimal deterministic acceptors are isomorphic iff their canonical forms
-    are equal. Any other `Fst` is converted first: ValueError if no DFA.
+    are equal. Any other `Fst` is converted first: ValidationError if no DFA.
     """
     if not isinstance(d, Dfa):
         d = Dfa.from_fst(d)
@@ -513,7 +500,7 @@ def canonical_form(d: Dfa) -> Dfa:
 
 
 def _failure_free(a: Fst) -> Fst:
-    if all(inp != FAILURE for arcs in a.arcs.values() for inp, _, _ in arcs):
+    if isinstance(a, Dfa) or all(inp != FAILURE for arcs in a.arcs.values() for inp, _, _ in arcs):
         return a
     loop = tuple((s, s, 0) for s in sorted(a.input_alphabet))
     return compose(Fst._trusted(a.table, 1, 0, frozenset([0]), {0: loop} if loop else {}), a)

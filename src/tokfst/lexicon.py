@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .fst import EPSILON, FAILURE, Dfa, Fst
 from .symbols import RESERVED, SymbolTable
 from .tokenizers import Vocabulary
@@ -199,13 +199,13 @@ def build_merge_gadget(
 
     Arcs whose input symbol is outside `alphabet` are dropped; a gadget whose
     left operand cannot occur degenerates to the identity. The machine is
-    built unchecked, so an `alphabet` id that names no token raises ValueError.
+    built unchecked, so an `alphabet` id that names no token raises ValidationError.
     """
     a, b = pair
     ab = _merge_result(pair, table)
     for c in alphabet:
         if not RESERVED <= c < RESERVED + len(table):
-            raise ValueError(f"merge gadget alphabet: id {c} does not name a token")
+            raise ValidationError(f"merge gadget alphabet: id {c} does not name a token")
 
     copying = [(c, c, 0) for c in alphabet - {a, ab}]
     if a in alphabet:

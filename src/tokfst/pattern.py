@@ -1,9 +1,12 @@
-"""Character-level regular expressions compiled to minimal deterministic acceptors.
+r"""Character-level regular expressions compiled to minimal deterministic acceptors.
 
 Supported syntax: literals, `.` (any single character in the alphabet),
 character classes `[abc]` / `[a-z]` / negated `[^...]`, grouping `(...)`
 nested at most MAX_GROUP_DEPTH deep, alternation `|`, and the postfix
-quantifiers `*`, `+`, `?`.
+quantifiers `*`, `+`, `?`. A backslash makes the next character literal, as
+in `a\*` or `[a\-]`, unless that character is an ASCII letter or digit:
+`re` reads `\d` as a class and `\b` as a word boundary, so such an escape
+is a syntax error rather than a pattern with another language.
 
 A pattern is compiled in one pass, as Thompson's construction was: each
 grammar rule emits its automaton fragment while it reads, so no syntax tree
@@ -137,11 +140,7 @@ class _Compiler:
             return self.one_of(self.known)
         if ch in _QUANTIFIERS:
             raise self.error(f"quantifier {ch!r} has nothing to repeat")
-        if ch == "\\":
-            self.take()
-            if self.peek() is None:
-                raise self.error("dangling escape")
-        return self.one_of({self.take()})
+        return self.one_of({self.escaped() if ch == "\\" else self.take()})
 
     def char_class(self) -> tuple[int, int]:
         self.take()  # [
@@ -159,10 +158,7 @@ class _Compiler:
                 self.take()
                 return self.one_of(self.known - chars if negated else chars)
             if ch == "\\":
-                self.take()
-                if self.peek() is None:
-                    raise self.error("dangling escape")
-                chars.add(self.take())
+                chars.add(self.escaped())
                 continue
             lo = self.take()
             if self.peek() == "-" and self.pos + 1 < len(self.text) and self.text[self.pos + 1] != "]":
@@ -173,6 +169,17 @@ class _Compiler:
                 chars.update(chr(c) for c in range(ord(lo), ord(hi) + 1))
             else:
                 chars.add(lo)
+
+    def escaped(self) -> str:
+        """The character after a backslash, taken literally. An ASCII letter
+        or digit is refused, as `re` would read a class or an assertion."""
+        self.take()  # \
+        ch = self.peek()
+        if ch is None:
+            raise self.error("dangling escape")
+        if ch.isascii() and ch.isalnum():
+            raise self.error(f"unsupported escape \\{ch}")
+        return self.take()
 
     def one_of(self, chars: set[str] | frozenset[str]) -> tuple[int, int]:
         """A fragment with one arc per character in `chars`. The smallest of

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import AlphabetError, ConfigError, EnumerationError, check_count
+from .errors import AlphabetError, ConfigError, EnumerationError, ValidationError, check_count
 from .fst import (
     Dfa,
     Fst,
@@ -81,7 +81,7 @@ def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
     if not isinstance(a, Dfa):
         try:
             a = Dfa.from_fst(a)
-        except ValueError as err:
+        except ValidationError as err:
             raise ConfigError(f"promotion needs a deterministic acceptor: {err}") from None
     foreign = {inp for arcs in a.arcs.values() for inp, _, _ in arcs} - v.table.char_ids()
     if foreign:
@@ -113,7 +113,7 @@ def _stage(
 def promote_agnostic(a: Dfa, v: Vocabulary) -> PromotionResult:
     """Token-level automaton accepting every segmentation of every match:
     the bigram walk with every token canonical and forbidding nothing, so
-    its keys are (q, 0). One stage, labelled "steps"."""
+    its keys are (q, frozenset()). One stage, labelled "steps"."""
     free = lambda d: (_bigram_product(d, v, dict.fromkeys(v.table.token_ids(), frozenset())), True)
     return _stage(a, v, "agnostic", "steps", free)
 
@@ -149,24 +149,20 @@ def promote_bpe(
 def _bigram_product(d: Dfa, v: Vocabulary, after: dict[int, frozenset[int]]) -> Dfa:
     """The bigram walk. A token sequence is the tokenization of its text iff
     each token is a key of `after` and none is in the set of the one before
-    it. So the walk reads `d` a token at a time over (pattern state, number
-    of the last token's set) keys from (start, 0), numbering the distinct
-    sets as it meets them, the empty one as 0: a key steps on t to
-    (δ*(q, t), number of t's set) when t is a key and not in the key's set,
-    and is final iff its pattern state is. `d` is deterministic, so the
-    steps are too."""
-    ids = {frozenset(): 0}
-    moves = [[(t, t, (dst, ids.setdefault(after[t], len(ids)))) for t, dst in q_steps if t in after]
+    it. So the walk reads `d` a token at a time over (pattern state, the
+    last token's set) keys from (start, frozenset()): a key steps on t to
+    (δ*(q, t), t's set) when t is a key and not in the key's set, and is
+    final iff its pattern state is. `d` is deterministic, so the steps are
+    too."""
+    moves = [[(t, t, (dst, after[t])) for t, dst in q_steps if t in after]
              for q_steps in token_steps(token_trie(v), d)]
-    forbidden = list(ids)  # by number
     finals = d.finals
 
-    def expand(key: tuple[int, int]) -> tuple[bool, list[tuple[int, int, tuple[int, int]]]]:
-        q, c = key
-        banned = forbidden[c]
+    def expand(key: tuple[int, frozenset[int]]) -> tuple[bool, list[tuple[int, int, tuple]]]:
+        q, banned = key
         return q in finals, [m for m in moves[q] if m[0] not in banned] if banned else moves[q]
 
-    return _discover(Dfa, d.table, (d.start, 0), expand)
+    return _discover(Dfa, d.table, (d.start, frozenset()), expand)
 
 
 def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:

@@ -42,7 +42,7 @@ from tokfst import (
     promote_bpe,
     trim,
 )
-from tokfst.fst import _failure_free, _output_subsets
+from tokfst.fst import _discover, _expansion, _failure_free, _output_subsets
 from tokfst.lexicon import TokenTrie, build_token_trie
 from tokfst.symbols import RESERVED
 
@@ -633,6 +633,63 @@ def reference_enumerate(a: Fst, max_len: int, max_paths: int = 1_000_000) -> set
             if nxt:
                 queue.append((seq + (sym,), nxt))
     return results
+
+
+# ---------------------------------------------------------------------------
+# the composition walk whose keys carried string tags
+
+
+def reference_compose(left: Fst, right: Fst) -> Fst:
+    """`compose` as it was when its keys were tagged: ("s", l, r) for a
+    plain pair and ("f", l, r, blocked) partway down a failure chain, the
+    left target spliced in by slicing the key. Keys are discovered in the
+    same order, so the result must equal `compose`'s, numbering included."""
+    r_moves = right._moves
+    emitting = _expansion(left, 1)
+    ahead: dict[int, tuple[set[int], bool]] = {}
+
+    def chain_viable(l: int, r: int, blocked: frozenset[int]) -> bool:
+        if l not in ahead:
+            can_end, moves = emitting((l,))
+            ahead[l] = {label for label, _, _ in moves}, can_end
+        can_emit, can_end = ahead[l]
+        seen = set()
+        while r not in seen:
+            seen.add(r)
+            symbols = r_moves.get(r, {}).keys() - {EPSILON, FAILURE}
+            if can_emit & (symbols - blocked):
+                return True
+            if can_end and r in right.finals:
+                return True
+            if FAILURE not in r_moves.get(r, {}):
+                return False
+            blocked = blocked | symbols
+            r = r_moves[r][FAILURE][0][1]
+        return False
+
+    def expand(key: tuple):
+        moves = []
+        here = r_moves.get(key[2], {})
+        if key[0] == "s":
+            _, l, r = key
+            blocked: frozenset[int] = frozenset()
+            for out, dst in here.get(EPSILON, ()):
+                moves.append((EPSILON, out, ("s", l, dst)))
+        else:
+            _, l, r, blocked = key
+        for inp, mid, l_dst in left.arcs.get(l, ()):
+            if mid == EPSILON:
+                moves.append((inp, EPSILON, (*key[:1], l_dst, *key[2:])))
+            elif mid in here and mid not in blocked:
+                for out, r_dst in here[mid]:
+                    moves.append((inp, out, ("s", l_dst, r_dst)))
+        for out, r_dst in here.get(FAILURE, ()):
+            walked = frozenset(blocked | (here.keys() - {EPSILON, FAILURE}))
+            if chain_viable(l, r_dst, walked):
+                moves.append((EPSILON, out, ("f", l, r_dst, walked)))
+        return l in left.finals and r in right.finals, dict.fromkeys(moves)
+
+    return _discover(Fst, left.table, ("s", left.start, right.start), expand)
 
 
 # ---------------------------------------------------------------------------

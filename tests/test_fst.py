@@ -25,9 +25,14 @@ from tokfst import (
     promote_agnostic,
     trim,
 )
-from tokfst.errors import ConfigError
+from tokfst.errors import ConfigError, TokfstError, ValidationError
 from tokfst.fst import _output_subsets
-from tokfst.lexicon import build_failure_trie, build_maxmatch_transducer
+from tokfst.lexicon import (
+    build_failure_trie,
+    build_maxmatch_transducer,
+    build_merge_gadget,
+    vocab_machine,
+)
 
 from helpers import (
     checked_arcs,
@@ -39,6 +44,7 @@ from helpers import (
     random_silent_machine,
     random_transducer,
     reference_accepts,
+    reference_compose,
     reference_enumerate,
 )
 
@@ -169,7 +175,7 @@ def test_validation_matches_the_ordered_checks():
             try:
                 got = cls(table, n, 0, frozenset(), rows).arcs
             except ValueError as exc:
-                assert type(exc) is ValueError
+                assert type(exc) is ValidationError
                 got = str(exc)
             assert got == expected, (cls.__name__, rows)
         unreachable = ({"has more than one failure arc"} if deterministic else
@@ -204,6 +210,26 @@ def test_dfa_from_fst():
     nondet = Fst(AB, 3, 0, frozenset({1}), (Transition(0, A, A, 1), Transition(0, A, A, 2)))
     with pytest.raises(ValueError):
         Dfa.from_fst(nondet)
+
+
+def test_bad_machines_raise_a_tokfst_error():
+    """Each way to hand over a bad machine raises a `ValidationError`:
+    `except TokfstError` catches it, and it is still a `ValueError`."""
+    nondet = Fst(AB, 3, 0, frozenset({1}), (Transition(0, A, A, 1), Transition(0, A, A, 2)))
+    table = SymbolTable(["a", "b", "ab"])
+    calls = [
+        lambda: Fst(AB, 1, 0, {5}, []),
+        lambda: Dfa(AB, 1, 0, {5}, []),
+        lambda: Dfa(AB, 1, 0, set(), [(0, EPSILON, EPSILON, 0)]),
+        lambda: Dfa.from_fst(nondet),
+        lambda: minimize(nondet),
+        lambda: canonical_form(nondet),
+        lambda: build_merge_gadget(table.ids(["a", "b"]), frozenset({99}), table),
+    ]
+    for call in calls:
+        with pytest.raises(TokfstError) as info:
+            call()
+        assert type(info.value) is ValidationError and isinstance(info.value, ValueError)
 
 
 def test_operations_trust_valid_operands(monkeypatch):
@@ -562,6 +588,35 @@ def test_compose_through_a_failure_cycle_terminates():
     assert enumerate_language(right, 3) == {(x,), (z,)}
 
 
+def test_compose_equals_the_tagged_key_walk():
+    """Keys by value discover the states that tagged keys did, in the same
+    order: seeded pairs with ε on either side and φ on the right."""
+    table = SymbolTable(["a", "b", "c"])
+    rng = random.Random(5)
+    pairs = failing = 0
+    for _ in range(4000):
+        left, right = random_silent_machine(rng, table), random_silent_machine(rng, table)
+        if any(t.inp == FAILURE for t in left.transitions):
+            continue
+        assert compose(left, right) == reference_compose(left, right), (left, right)
+        pairs += 1
+        failing += any(t.inp == FAILURE for t in right.transitions)
+    assert pairs > 2000 and failing > 500
+
+
+def test_maxmatch_compose_equals_the_tagged_key_walk():
+    """The benchmark's serve patterns against the kept longest-match
+    transducer of its tokenizer."""
+    from perfbench.inputs import train
+    from perfbench.workloads import FULL, serve_pool
+
+    v = train(1, FULL.corpus, FULL.merges).vocab
+    kept = vocab_machine(v, "maxmatch", lambda: build_maxmatch_transducer(build_failure_trie(v)))
+    for pattern in serve_pool(1):
+        a = compile_pattern(pattern.regex, v.table)
+        assert compose(a, kept) == reference_compose(a, kept), pattern.regex
+
+
 def test_project_output_keeps_output_side():
     table = SymbolTable(["a", "b"])
     a, b = table.ids(["a", "b"])
@@ -623,6 +678,37 @@ def test_closure_operations_match_the_stepped_closure_walk():
         assert reference_enumerate(removed, 4) == language
         assert reference_enumerate(determinize(m), 4) == language
     assert overruns > 500 and acceptors > 1000
+
+
+class _CountedArcs(dict):
+    """An arc store that counts the passes made over all of it."""
+
+    passes = 0
+
+    def _pass(name):
+        def counted(self, *args):
+            self.passes += 1
+            return getattr(dict, name)(self, *args)
+        return counted
+
+    items, values, keys, __iter__ = map(_pass, ("items", "values", "keys", "__iter__"))
+    del _pass
+
+
+def test_dfa_walks_read_only_the_states_they_reach():
+    """`accepts` and `enumerate_language` on a 1,000-state DFA read the arcs
+    of the states they reach and make no pass over the whole store."""
+    n = 1000
+    rows = [(q, A, A, (q + 1) % n) for q in range(n)] + [(q, B, B, (2 * q) % n) for q in range(n)]
+    d = Dfa(AB, n, 0, {3, n - 1}, rows)
+    seqs = [[A] * (n - 1), [A, B, B], [A, B, A], [B, B, A, A, A]]
+    expected = [reference_accepts(d, seq) for seq in seqs], reference_enumerate(d, 12)
+    arcs = d.__dict__["arcs"] = _CountedArcs(d.arcs)
+    got = [accepts(d, seq) for seq in seqs], enumerate_language(d, 12)
+    assert got == expected and expected[0] == [True, False, True, True]
+    assert enumerate_language(d, 3) == {(A, A, A), (A, B, A)}
+    assert arcs.passes == 0
+    assert len(d.transitions) == 2 * n and arcs.passes > 0
 
 
 def test_determinize_requires_clean_acceptor():

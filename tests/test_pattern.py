@@ -109,6 +109,9 @@ def test_syntax_errors_outrank_unknown_characters():
     ("a\\", 2),
     ("[]", 1),
     ("[a\\", 3),
+    ("a\\d", 2),
+    ("[\\d]", 2),
+    ("a\\b", 2),
     ("(" * 101 + "a" + ")" * 101, 100),
     ("a|" + "(" * 500 + "a" + ")" * 500, 102),
 ])

@@ -1,7 +1,6 @@
 """Property tests of the trust boundary: whatever a caller or a file hands the
-library ends in a typed error (or, from the machine constructors, a
-ValueError), never in an unrelated exception or a traceback; the command
-line turns every input into an exit code."""
+library ends in a typed error, never in an unrelated exception or a
+traceback; the command line turns every input into an exit code."""
 
 import io
 import json
@@ -26,6 +25,7 @@ from tokfst import (
     SymbolTable,
     TokfstError,
     Transition,
+    ValidationError,
     Vocabulary,
     check_promotion,
     compile_pattern,
@@ -152,7 +152,7 @@ def test_constructors_raise_only_value_errors(cls, machine):
     table, num_states, start, finals, arcs = machine
     try:
         m = cls(table, num_states, start, finals, arcs)
-    except ValueError:
+    except ValidationError:
         return
     assert table is TABLE
     assert all(type(row) is tuple and len(row) == 4 for row in arcs)
