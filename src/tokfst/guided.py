@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import reduce
 from hashlib import blake2b
 from typing import Callable, Protocol, Sequence
 
@@ -110,11 +111,12 @@ def constrained_decode(
 
     retokenize_with enables the stop-detokenize-retokenize mitigation: after
     every step the prefix is replaced by its canonical tokenization, replayed
-    through the automaton. Under a mask promoted in bpe or maxmatch mode for
-    the same tokenizer it changes nothing, since a prefix of a canonical
-    tokenization is canonical for its own text; it pays under agnostic masks.
-    A retokenizer that is not callable, or whose rewrite does not spell the
-    prefix's text in the automaton's token ids, is a ConfigError.
+    from the start state; the automaton is checked once per call. Under a
+    mask promoted in bpe or maxmatch mode for the same tokenizer it changes
+    nothing, since a prefix of a canonical tokenization is canonical for its
+    own text; it pays under agnostic masks. A retokenizer that is not
+    callable, or whose rewrite does not spell the prefix's text in the
+    automaton's token ids, is a ConfigError.
 
     A bound `BpeTokenizer.tokenize` is not called on every step. Its prefix
     is kept canonical, and a sequence is canonical iff each token is and each
@@ -156,7 +158,7 @@ def constrained_decode(
             raise ConfigError(f"retokenize_with({text!r}) did not return token ids") from None
         if rewritten != tuple(out):
             _check_spelling(d, rewritten, text)
-            q = _replay(d, rewritten).state
+            q = reduce(constraint_advance, rewritten, ConstraintState(d, d.start)).state
             out = list(rewritten)
     if q in finals:
         return tuple(out)
@@ -191,10 +193,3 @@ def _check_spelling(d: Dfa, tokens: tuple, text: str) -> None:
         raise ConfigError(
             f"retokenize_with({text!r}) returned {tokens!r}, not token ids spelling that text"
         )
-
-
-def _replay(d: Dfa, tokens: Sequence[int]) -> ConstraintState:
-    state = constraint_begin(d)
-    for token in tokens:
-        state = constraint_advance(state, token)
-    return state

@@ -17,7 +17,7 @@ makes it minimal.
 
 from __future__ import annotations
 
-from .errors import AlphabetError, PatternSyntaxError, check_text
+from .errors import AlphabetError, ConfigError, PatternSyntaxError, check_text
 # epsilon_remove: bound for perfbench/tracing.py to patch
 from .fst import Dfa, Fst, determinize, epsilon_remove, minimize
 from .symbols import EPSILON, SymbolTable
@@ -200,5 +200,7 @@ def compile_pattern(text: str, table: SymbolTable) -> Dfa:
     Every arc symbol is a single-character token id from `table`.
     """
     check_text("pattern", text)
+    if not isinstance(table, SymbolTable):
+        raise ConfigError(f"table must be a SymbolTable, got {type(table).__name__}")
     nfa = _Compiler(text, table).compile()
     return minimize(determinize(nfa))

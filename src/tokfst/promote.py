@@ -1,8 +1,8 @@
 """Pattern promotion: lift a character-level pattern automaton to one over
 subword tokens.
 
-Each mode is one stage (`_stage`) that builds the token-level machine and
-minimizes it; results are in canonical form.
+Each mode, and the gadget chain, is one stage (`_stage`) that builds the
+token-level machine and minimizes it; results are in canonical form.
 
 * agnostic: the pattern's token steps: the token trie walked against the
   pattern DFA from each state q gives q --t--> δ*(q, t) for each token t
@@ -13,8 +13,8 @@ minimizes it; results are in canonical form.
   emitting nothing. Accepts only longest-match segmentations.
 * bpe: the token steps times a bigram filter (`_bigram_product`), which
   agnostic runs with tables that forbid nothing. Accepts only byte-pair
-  segmentations. `promote_bpe_chained` is the paper's construction, one
-  merge gadget composed per merge, kept as its cross-check.
+  segmentations. Its cross-check `promote_bpe_chained`, the paper's
+  construction, composes one merge gadget per merge in the same stage.
 
 The walk is deterministic by construction, so no subset construction
 merges targets; maxmatch stages sometimes need it.
@@ -74,10 +74,15 @@ def _require(value: object, cls: type) -> None:
         raise ConfigError(f"expected a {cls.__name__}, got {type(value).__name__}")
 
 
-def _checked_pattern(a: Dfa, v: Vocabulary) -> Dfa:
+def _same_table(a: Fst, v: Vocabulary, cls: type) -> None:
+    _require(a, cls)
     _require(v, Vocabulary)
     if a.table != v.table:
         raise AlphabetError("pattern automaton and vocabulary use different symbol tables")
+
+
+def _checked_pattern(a: Fst, v: Vocabulary) -> Dfa:
+    _same_table(a, v, Fst)
     if not isinstance(a, Dfa):
         try:
             a = Dfa.from_fst(a)
@@ -166,23 +171,21 @@ def _bigram_product(d: Dfa, v: Vocabulary, after: dict[int, frozenset[int]]) -> 
 
 
 def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:
-    """The one-shot composition chain: all gadgets composed first, then
-    projection, epsilon removal, determinization and minimization, one
-    operator each: the paper's construction. Exponentially worse than
-    promote_bpe on adversarial inputs; kept as a cross-check of its walk.
-    """
+    """The paper's construction as one stage: a merge gadget composed per
+    merge, then projection, epsilon removal, determinization and
+    minimization, one operator each. Exponentially worse than promote_bpe on
+    adversarial inputs; kept as a cross-check of its walk."""
     _require(t, BpeTokenizer)
-    a = _checked_pattern(a, t.vocab)
-    table = t.vocab.table
-    if not a.finals or not t.merges:
-        return minimize(a)
-    machine: Fst = a
-    alphabet = set(table.char_ids())
-    for pair in t.merges:
-        gadget = build_merge_gadget(pair, frozenset(alphabet), table)
-        machine = compose(machine, gadget.fst)
-        alphabet.add(gadget.result)
-    return minimize(determinize(epsilon_remove(project_output(machine))))
+
+    def chain(machine: Fst) -> tuple[Fst, bool]:
+        alphabet = set(machine.table.char_ids())
+        for pair in t.merges:
+            gadget = build_merge_gadget(pair, frozenset(alphabet), machine.table)
+            machine = compose(machine, gadget.fst)
+            alphabet.add(gadget.result)
+        return determinize(epsilon_remove(project_output(machine))), True
+
+    return _stage(a, t.vocab, "bpe", "chained", chain).dfa
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,7 @@ def language_by_chars(
     """
     check_count("max_chars", max_chars)
     check_count("max_paths", max_paths)
+    _same_table(d, v, Dfa)
     table = v.table
     out: set[tuple[int, ...]] = set()
     stack: list[tuple[int, int, tuple[int, ...]]] = [(d.start, 0, ())]
@@ -230,9 +234,10 @@ def language_by_chars(
 
 
 def _check_oracle_args(
-    mode: str, v: Vocabulary, max_chars: int, tokenizer: BpeTokenizer | None
+    a: Fst, mode: str, v: Vocabulary, max_chars: int, tokenizer: BpeTokenizer | None
 ) -> None:
     check_count("max_chars", max_chars)
+    _require(a, Fst)
     _require(v, Vocabulary)
     if mode not in ("agnostic", "maxmatch", "bpe"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -246,7 +251,7 @@ def expected_promotion(
     a: Dfa, v: Vocabulary, mode: str, max_chars: int, tokenizer: BpeTokenizer | None = None
 ) -> set[tuple[int, ...]]:
     """The reference answer, computed without any transducer machinery."""
-    _check_oracle_args(mode, v, max_chars, tokenizer)
+    _check_oracle_args(a, mode, v, max_chars, tokenizer)
     strings = {
         v.decode(seq) for seq in enumerate_language(a, max_chars)
     }
@@ -272,7 +277,7 @@ def check_promotion(
     bound. Returns None when the languages agree, otherwise the first
     counterexample as ("missing" | "unexpected", token sequence).
     """
-    _check_oracle_args(mode, v, max_chars, tokenizer)
+    _check_oracle_args(a, mode, v, max_chars, tokenizer)
     if mode == "agnostic":
         result = promote_agnostic(a, v)
     elif mode == "maxmatch":

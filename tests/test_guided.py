@@ -367,8 +367,8 @@ def tokenize_calls(monkeypatch):
 
 @pytest.fixture
 def begins(monkeypatch):
-    """Machines `constrained_decode` began on: one per decode, plus one per
-    rewrite it replays. The reference loop imports its own name."""
+    """Machines `constrained_decode` began on. The reference loop imports
+    its own name."""
     started = []
     original = tokfst.guided.constraint_begin
     monkeypatch.setattr(tokfst.guided, "constraint_begin",
@@ -376,24 +376,35 @@ def begins(monkeypatch):
     return started
 
 
-def _sweep(cases, tokenize_calls, begins):
+@pytest.fixture
+def rewritten(monkeypatch):
+    """The rewrites `constrained_decode` replayed: each one's spelling is
+    checked once, before its replay."""
+    seen = []
+    original = tokfst.guided._check_spelling
+    monkeypatch.setattr(tokfst.guided, "_check_spelling",
+                        lambda d, tokens, text: seen.append(tokens) or original(d, tokens, text))
+    return seen
+
+
+def _sweep(cases, tokenize_calls, rewritten):
     """Decode each (scorer, machine, max_steps, retokenizer) case with
     `constrained_decode` and with the reference loop, which calls the
     retokenizer on every step; the outcomes must be equal. Returns the steps,
     `tokenize` calls and rewrites of `constrained_decode`."""
     steps = calls = rewrites = 0
     for lm, d, max_steps, retokenize in cases:
-        before, began = len(tokenize_calls), len(begins)
+        before, began = len(tokenize_calls), len(rewritten)
         got = decode_outcome(lm, d, max_steps, retokenize)
         calls += len(tokenize_calls) - before
-        rewrites += len(begins) - began - 1
+        rewrites += len(rewritten) - began
         before = len(tokenize_calls)
         assert got == reference_decode(lm, d, max_steps, retokenize_with=retokenize)
         steps += len(tokenize_calls) - before
     return steps, calls, rewrites
 
 
-def test_pair_checked_decodes_equal_the_reference_loop(tokenize_calls, begins):
+def test_pair_checked_decodes_equal_the_reference_loop(tokenize_calls, rewritten):
     """Agnostic masks retokenized by a bound `tokenize`: the instances of
     criteria 3-5 whose vocabulary a merge list can build, and the bpe
     instances' patterns promoted in agnostic mode, seeds 0-4 with a 24-step
@@ -404,17 +415,17 @@ def test_pair_checked_decodes_equal_the_reference_loop(tokenize_calls, begins):
     agnostic += [(promote_agnostic(a, tok.vocab).dfa, tok) for a, tok, _ in bpe_instances()]
     assert len(agnostic) > 110
     cases = [(StubLM(seed), d, 24, tok.tokenize) for d, tok in agnostic for seed in range(5)]
-    steps, calls, rewrites = _sweep(cases, tokenize_calls, begins)
+    steps, calls, rewrites = _sweep(cases, tokenize_calls, rewritten)
     assert 0 < calls == rewrites < steps
 
     cases = [(StubLM(seed), r.dfa, 24, tok.tokenize)
              for _, tok, r in bpe_instances() for seed in range(5)]
-    steps, calls, rewrites = _sweep(cases, tokenize_calls, begins)
+    steps, calls, rewrites = _sweep(cases, tokenize_calls, rewritten)
     assert steps > 700 and calls == rewrites == 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_serve_pool_decodes_equal_the_reference_loop(seed, tokenize_calls, begins):
+def test_serve_pool_decodes_equal_the_reference_loop(seed, tokenize_calls, rewritten):
     """The benchmark's serve patterns and scorer at its tokenizer size:
     agnostic decodes retokenized by a bound `tokenize`, maxmatch decodes
     plain."""
@@ -431,7 +442,7 @@ def test_serve_pool_decodes_equal_the_reference_loop(seed, tokenize_calls, begin
             scorer = Scorer(seed * 1000 + n * 100 + j)
             cases += [(scorer, agnostic, MAX_STEPS, tok.tokenize),
                       (scorer, maxmatch, MAX_STEPS, None)]
-    steps, calls, rewrites = _sweep(cases, tokenize_calls, begins)
+    steps, calls, rewrites = _sweep(cases, tokenize_calls, rewritten)
     assert 0 < calls == rewrites < steps
 
 
@@ -440,7 +451,7 @@ def _abc_tokenizer():
     return BpeTokenizer.from_token_pairs(vocab, [("a", "b"), ("b", "c"), ("c", "c"), ("ab", "c")])
 
 
-def test_other_retokenizers_run_on_every_step(tokenize_calls, begins):
+def test_other_retokenizers_run_on_every_step(tokenize_calls, rewritten):
     """A function wrapping `tokenize`, a maxmatch retokenizer and a
     subclass's own `tokenize` are called as often as the reference loop
     calls them: once per step."""
@@ -475,9 +486,23 @@ def test_other_retokenizers_run_on_every_step(tokenize_calls, begins):
         d = promote_agnostic(compile_pattern(pattern, tok.vocab.table), tok.vocab).dfa
         for seed in range(8):
             tokenize_calls.clear()
-            begins.clear()
+            rewritten.clear()
             decode_outcome(StubLM(seed), d, 12, tok.tokenize)
-            assert len(tokenize_calls) == len(begins) - 1
+            assert len(tokenize_calls) == len(rewritten)
+
+
+def test_a_decode_begins_its_constraint_once(tokenize_calls, rewritten, begins):
+    """A rewrite replays from the start state; only the call itself runs
+    `constraint_begin`, whatever the number of rewrites."""
+    tok = _abc_tokenizer()
+    decodes = 0
+    for pattern in ("(a|b|c)*", "(abc|ab|c)+b", "a(b|c)*c"):
+        d = promote_agnostic(compile_pattern(pattern, tok.vocab.table), tok.vocab).dfa
+        for seed in range(8):
+            decode_outcome(StubLM(seed), d, 12, tok.tokenize)
+            decodes += 1
+            assert len(begins) == decodes and begins[-1] is d
+    assert len(rewritten) == len(tokenize_calls) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +551,15 @@ def test_a_rewrite_must_spell_the_prefix():
     # any iterable of ids spelling the text is taken, here its characters
     spelled = constrained_decode(StubLM(0), d, retokenize_with=lambda text: iter(map(t.id, text)))
     assert accepts(d, spelled) and all(len(t.token(i)) == 1 for i in spelled)
+
+
+def test_a_rewrite_outside_the_mask_is_a_violation():
+    # the longest-match mask offers only ab; the characters spell it but step off
+    d = promote_maxmatch(compile_pattern("(ab)+", AB.table), AB).dfa
+    assert set(constrained_decode(StubLM(0), d, 4)) == {AB.table.id("ab")}
+    by_chars = lambda text: tuple(map(AB.table.id, text))
+    with pytest.raises(ConstraintViolationError, match="^token a is not allowed here$"):
+        constrained_decode(StubLM(0), d, 4, retokenize_with=by_chars)
 
 
 def test_a_bpe_retokenizer_must_share_the_table():

@@ -51,6 +51,7 @@ from tokfst.lexicon import build_failure_trie, build_maxmatch_transducer, build_
 from tokfst.promote import expected_promotion
 
 from helpers import (
+    bpe_instances,
     draw_until,
     gadget_stages,
     identifiers,
@@ -408,6 +409,16 @@ def test_chained_composition_agrees_with_the_bigram_product():
         product = promote_bpe(a, tok).dfa
         chained = promote_bpe_chained(a, tok)
         assert canonical_form(chained) == canonical_form(product)
+
+
+def test_the_chain_equals_the_walk_as_whole_machines():
+    # the chain runs in the shared stage, so its result is canonical as it
+    # comes, on zero-merge tokenizers too
+    instances = bpe_instances()
+    assert len(instances) == 100 and sum(not tok.merges for _, tok, _ in instances) >= 2
+    for a, tok, r in instances:
+        chained = promote_bpe_chained(a, tok)
+        assert chained == r.dfa == canonical_form(chained)
 
 
 def _fixture_promotions():

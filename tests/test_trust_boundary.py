@@ -366,8 +366,21 @@ def test_swapped_arguments_are_config_errors():
         (lambda: expected_promotion(a, tok, "agnostic", 4), "expected a Vocabulary, got BpeTokenizer"),
         (lambda: promote_bpe(a, tok, stage_hook=5), "stage_hook must be callable, got int"),
         (lambda: constrained_decode(5, d), "must be a TokenScorer with a score method, got int"),
+        # a pattern string where its automaton belongs, a vocabulary for its table
+        (lambda: promote_agnostic("(a|b)*", v), "expected a Fst, got str"),
+        (lambda: promote_bpe_chained("ab", tok), "expected a Fst, got str"),
+        (lambda: check_promotion("ab", v, "agnostic", 3), "expected a Fst, got str"),
+        (lambda: expected_promotion("ab", v, "agnostic", 3), "expected a Fst, got str"),
+        (lambda: language_by_chars("ab", v, 3), "expected a Dfa, got str"),
+        (lambda: compile_pattern("a", v), "table must be a SymbolTable, got Vocabulary"),
     ]
     for call, message in calls:
         with pytest.raises(ConfigError, match=message):
             call()
     assert "bigram_tables" not in vars(tok)  # no promotion ran
+    # another vocabulary's automaton is refused, not read in its ids
+    ab = Vocabulary.from_tokens(["a", "b", "ab"])
+    promoted = promote_agnostic(compile_pattern("ab", ab.table), ab).dfa
+    assert language_by_chars(promoted, ab, 1) == set()
+    with pytest.raises(AlphabetError, match="different symbol tables"):
+        language_by_chars(promoted, Vocabulary.from_tokens(["a", "b", "c", "abc"]), 1)
