@@ -54,6 +54,12 @@ class IncompleteGenerationError(ConstraintError):
         self.prefix = prefix
 
 
+def check_type(value: object, cls: type) -> None:
+    """A swapped argument fails here, before any work."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
 def check_text(name: str, value: object) -> None:
     """Text must be a `str`; a list, say, would be read item by item."""
     if not isinstance(value, str):

@@ -26,7 +26,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import AlphabetError, ConfigError, EnumerationError, ValidationError, check_count
+from .errors import (
+    AlphabetError,
+    ConfigError,
+    EnumerationError,
+    ValidationError,
+    check_count,
+    check_type,
+)
 from .fst import (
     Dfa,
     Fst,
@@ -68,15 +75,9 @@ class PromotionResult:
     stats: tuple[StageStats, ...]
 
 
-def _require(value: object, cls: type) -> None:
-    """A swapped argument fails here, before any work."""
-    if not isinstance(value, cls):
-        raise ConfigError(f"expected a {cls.__name__}, got {type(value).__name__}")
-
-
 def _same_table(a: Fst, v: Vocabulary, cls: type) -> None:
-    _require(a, cls)
-    _require(v, Vocabulary)
+    check_type(a, cls)
+    check_type(v, Vocabulary)
     if a.table != v.table:
         raise AlphabetError("pattern automaton and vocabulary use different symbol tables")
 
@@ -141,7 +142,7 @@ def promote_bpe(
     """Token-level automaton accepting only byte-pair segmentations: the
     bigram walk with `t.bigram_tables`. One stage, labelled "bigram", whose
     clock covers the whole call but the one stage_hook call after it."""
-    _require(t, BpeTokenizer)
+    check_type(t, BpeTokenizer)
     if stage_hook is not None and not callable(stage_hook):
         raise ConfigError(f"stage_hook must be callable, got {type(stage_hook).__name__}")
     walk = lambda d: (_bigram_product(d, t.vocab, t.bigram_tables), True)
@@ -175,7 +176,7 @@ def promote_bpe_chained(a: Dfa, t: BpeTokenizer) -> Dfa:
     merge, then projection, epsilon removal, determinization and
     minimization, one operator each. Exponentially worse than promote_bpe on
     adversarial inputs; kept as a cross-check of its walk."""
-    _require(t, BpeTokenizer)
+    check_type(t, BpeTokenizer)
 
     def chain(machine: Fst) -> tuple[Fst, bool]:
         alphabet = set(machine.table.char_ids())
@@ -237,12 +238,12 @@ def _check_oracle_args(
     a: Fst, mode: str, v: Vocabulary, max_chars: int, tokenizer: BpeTokenizer | None
 ) -> None:
     check_count("max_chars", max_chars)
-    _require(a, Fst)
-    _require(v, Vocabulary)
+    check_type(a, Fst)
+    check_type(v, Vocabulary)
     if mode not in ("agnostic", "maxmatch", "bpe"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "bpe":
-        _require(tokenizer, BpeTokenizer)
+        check_type(tokenizer, BpeTokenizer)
         if tokenizer.vocab != v:
             raise ConfigError("the tokenizer is over another vocabulary")
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .errors import AlphabetError, ConfigError, check_text
+from .errors import AlphabetError, ConfigError, check_text, check_type
 from .symbols import SymbolTable
 
 
@@ -32,6 +32,7 @@ class Vocabulary:
     _machines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_type(self.table, SymbolTable)
         chars = {self.table.token(i) for i in self.table.char_ids()}
         for token in self.table.tokens:
             missing = sorted(set(token) - chars)
@@ -70,6 +71,7 @@ def maxmatch_tokenize(text: str, vocab: Vocabulary) -> tuple[int, ...]:
     the text is taken. `encode_chars` checks the text first, so some
     one-character token always matches.
     """
+    check_type(vocab, Vocabulary)
     vocab.encode_chars(text)
     table, width = vocab.table, vocab.max_token_len
     out: list[int] = []
@@ -180,6 +182,7 @@ class BpeTokenizer:
     _ranked: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_type(self.vocab, Vocabulary)
         try:
             object.__setattr__(self, "merges", tuple(tuple(m) for m in self.merges))
         except TypeError:
@@ -263,9 +266,17 @@ def bpe_train(corpus: Iterable[str], steps: int) -> BpeTokenizer:
     """Learn a merge list of at most `steps` merges from example strings.
 
     Words stay tuples of token strings, weighted by count. Each round merges
-    the most frequent adjacent pair in every word with `tokenize`'s pass;
-    ties go to the pair seen first in corpus order. Stops early with a
+    the most frequent adjacent pair in every word with `tokenize`'s pass.
+    Ties go to the pair whose earliest current occurrence comes first by
+    (word in first-seen order, offset in the word), the order in which a
+    count of the whole corpus would meet the pairs. Stops early with a
     warning when no pair is left. One vocabulary is built at the end.
+
+    The counts are kept incrementally (Sennrich, Haddow and Birch, "Neural
+    Machine Translation of Rare Words with Subword Units", 2016): one pass
+    builds pair -> weighted count and pair -> the distinct words holding
+    it, and a merge recounts only the words in its pair's index. A pair
+    whose count reaches 0 leaves both maps.
 
     No pair is skipped for joining to an earlier token, as none does. A pair
     counted in round r is adjacent in some word's tokenization by the first
@@ -288,22 +299,42 @@ def bpe_train(corpus: Iterable[str], steps: int) -> BpeTokenizer:
     if not chars:
         raise ConfigError("cannot train on an empty corpus")
     seqs = [(tuple(w), n) for w, n in words.items()]
+    counts: Counter[tuple[str, str]] = Counter()
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, (s, n) in enumerate(seqs):
+        for pair in zip(s, s[1:]):
+            counts[pair] += n
+            holders[pair].add(i)
+
     merges: list[tuple[str, str]] = []
     for _ in range(steps):
-        # filled in corpus order, so `max` meets tied pairs in first-seen order
-        counts: Counter[tuple[str, str]] = Counter()
-        for s, n in seqs:
-            for pair in zip(s, s[1:]):
-                counts[pair] += n
         if not counts:
             warnings.warn(
                 f"stopping after {len(merges)} merges: no pair left to merge",
                 stacklevel=2,
             )
             break
-        x, y = max(counts, key=counts.__getitem__)
+        top = max(counts.values())
+        tied = {pair for pair, c in counts.items() if c == top}
+        # the first word holding a tied pair, then its first tied pair
+        s = seqs[min(min(holders[pair]) for pair in tied)][0]
+        x, y = next(pair for pair in zip(s, s[1:]) if pair in tied)
         merges.append((x, y))
-        seqs = [(_merge_pass(s, x, y, x + y) if x in s else s, n) for s, n in seqs]
+        for i in tuple(holders[x, y]):
+            s, n = seqs[i]
+            t = _merge_pass(s, x, y, x + y)
+            seqs[i] = (t, n)
+            old, new = list(zip(s, s[1:])), list(zip(t, t[1:]))
+            for pair in old:
+                counts[pair] -= n
+            for pair in new:
+                counts[pair] += n
+                holders[pair].add(i)
+            for pair in set(old).difference(new):
+                held = holders[pair]
+                held.discard(i)
+                if not held:
+                    del holders[pair], counts[pair]
     vocab = Vocabulary.from_tokens(dict.fromkeys(chars + [x + y for x, y in merges]))
     return BpeTokenizer.from_token_pairs(vocab, merges)
 
@@ -313,6 +344,7 @@ def iter_segmentations(text: str, vocab: Vocabulary) -> Iterator[tuple[int, ...]
     first, shorter first tokens first. The walk keeps its own stack, so long
     texts do not hit the recursion limit."""
     check_text("text", text)
+    check_type(vocab, Vocabulary)
     table = vocab.table
     n = len(text)
     acc: list[int] = []

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+import warnings
+from collections import Counter, deque
+from collections.abc import Iterable
 
 from tokfst import (
     END_OF_SEQUENCE,
     EPSILON,
     FAILURE,
     BpeTokenizer,
+    ConfigError,
     Dfa,
     EnumerationError,
     Fst,
@@ -44,6 +47,7 @@ from tokfst import (
 )
 from tokfst.fst import _discover, _expansion, _failure_free, _output_subsets
 from tokfst.lexicon import TokenTrie, build_token_trie
+from tokfst.tokenizers import _merge_pass
 from tokfst.symbols import RESERVED
 
 # ---------------------------------------------------------------------------
@@ -487,6 +491,44 @@ def tokenize_incremental(tok: BpeTokenizer, text: str) -> tuple[int, ...]:
         if not present:
             return seq
         seq = apply_merge(seq, tok.merges[min(present)], tok.vocab.table)
+
+
+def reference_bpe_train(corpus, steps: int) -> BpeTokenizer:
+    """`bpe_train` by its definition: every round recounts every adjacent
+    pair of every word, in corpus order, so `max` meets tied pairs in
+    first-seen order, and merges the most frequent one with `tokenize`'s
+    pass. Stops early with the same warning when no pair is left."""
+    if type(steps) is not int or steps < 0:
+        raise ConfigError(f"steps must be a non-negative int, got {steps!r}")
+    if isinstance(corpus, str) or not isinstance(corpus, Iterable):
+        raise ConfigError(f"corpus must be an iterable of strings, got {corpus!r}")
+    words: Counter[str] = Counter()  # insertion order is first-seen order
+    for w in corpus:
+        if not isinstance(w, str):
+            raise ConfigError(f"corpus items must be strings, got {w!r}")
+        words[w] += 1
+    chars = sorted({ch for w in words for ch in w})
+    if not chars:
+        raise ConfigError("cannot train on an empty corpus")
+    seqs = [(tuple(w), n) for w, n in words.items()]
+    merges: list[tuple[str, str]] = []
+    for _ in range(steps):
+        # filled in corpus order, so `max` meets tied pairs in first-seen order
+        counts: Counter[tuple[str, str]] = Counter()
+        for s, n in seqs:
+            for pair in zip(s, s[1:]):
+                counts[pair] += n
+        if not counts:
+            warnings.warn(
+                f"stopping after {len(merges)} merges: no pair left to merge",
+                stacklevel=2,
+            )
+            break
+        x, y = max(counts, key=counts.__getitem__)
+        merges.append((x, y))
+        seqs = [(_merge_pass(s, x, y, x + y) if x in s else s, n) for s, n in seqs]
+    vocab = Vocabulary.from_tokens(dict.fromkeys(chars + [x + y for x, y in merges]))
+    return BpeTokenizer.from_token_pairs(vocab, merges)
 
 
 def count_segmentations(text: str, vocab: Vocabulary) -> int:

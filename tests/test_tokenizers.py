@@ -3,6 +3,7 @@
 import hashlib
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from helpers import (
     merge_list_pass,
     random_merge_tokenizer,
     random_vocab,
+    reference_bpe_train,
     tokenize_incremental,
 )
 
@@ -351,6 +353,57 @@ def test_train_output_is_pinned():
         "b08be8f56ce2e89c98a9158e04d46f36c8b8372aec120b8753754b117675a1dc")
     chars = sorted(set("".join(corpus)))
     assert tok.vocab.table.tokens == tuple(chars + [x + y for x, y in tok.merge_tokens()])
+
+
+def trained(train, corpus, steps):
+    """What a trainer gives: its merges, its table and its warnings, each
+    with the line it is attributed to, or its error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            tok = train(corpus, steps)
+        except ConfigError as err:
+            return str(err)
+    return (tok.merge_tokens(), tok.vocab.table.tokens,
+            [(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+
+
+def test_train_equals_the_round_by_round_trainer_on_random_corpora():
+    rng = random.Random(8)
+    ties = stops = 0
+    for _ in range(2400):
+        chars = rng.choice(("abc", "abcd"))
+        corpus = ["".join(rng.choice(chars) for _ in range(rng.randint(0, 9)))
+                  for _ in range(rng.randint(1, 8))]
+        steps = rng.randint(0, 24)
+        got = trained(bpe_train, corpus, steps)
+        assert got == trained(reference_bpe_train, corpus, steps), (corpus, steps)
+        first = Counter(pair for word in corpus for pair in zip(word, word[1:]))
+        ties += list(first.values()).count(max(first.values(), default=0)) > 1
+        stops += isinstance(got, tuple) and bool(got[2])
+    assert ties > 500 and stops > 500
+
+
+def test_train_equals_the_round_by_round_trainer_on_identifiers():
+    stops = 0
+    for seed in (1, 2, 3, 4):
+        for n, steps in ((400, 800), (1500, 800), (3000, 60)):
+            got = trained(bpe_train, identifiers(seed, n), steps)
+            assert got == trained(reference_bpe_train, identifiers(seed, n), steps), (seed, n)
+            stops += bool(got[2])
+    assert stops == 4  # 400 identifiers run out of pairs before 800 merges
+
+
+def test_train_breaks_a_tie_by_the_next_occurrence_of_a_moved_pair():
+    # (x, a) wins first and takes the earliest (a, b) with it; (a, b) and
+    # (c, d) then tie at 2. The tie goes by where each pair occurs now, not
+    # where it first occurred before the merge
+    across_words = ["xab", "cd", "cd", "ab", "ab", "xa", "xa", "xa", "xa"]
+    within_a_word = ["xabcdab", "xa", "xa", "xa", "xa", "cd", "ab"]
+    for corpus in (across_words, within_a_word):
+        tok = bpe_train(corpus, 2)
+        assert tok.merge_tokens() == (("x", "a"), ("c", "d"))
+        assert trained(bpe_train, corpus, 3) == trained(reference_bpe_train, corpus, 3)
 
 
 def test_train_rejects_bad_input():

@@ -373,6 +373,15 @@ def test_swapped_arguments_are_config_errors():
         (lambda: expected_promotion("ab", v, "agnostic", 3), "expected a Fst, got str"),
         (lambda: language_by_chars("ab", v, 3), "expected a Dfa, got str"),
         (lambda: compile_pattern("a", v), "table must be a SymbolTable, got Vocabulary"),
+        # the tokenizers' own inputs: a table, a vocabulary
+        (lambda: Vocabulary(["a"]), "expected a SymbolTable, got list"),
+        (lambda: Vocabulary("ab"), "expected a SymbolTable, got str"),
+        (lambda: Vocabulary(v), "expected a SymbolTable, got Vocabulary"),
+        (lambda: BpeTokenizer("x", ()), "expected a Vocabulary, got str"),
+        (lambda: BpeTokenizer(v.table, tok.merges), "expected a Vocabulary, got SymbolTable"),
+        (lambda: maxmatch_tokenize("ab", "v"), "expected a Vocabulary, got str"),
+        (lambda: maxmatch_tokenize("ab", tok), "expected a Vocabulary, got BpeTokenizer"),
+        (lambda: next(iter_segmentations("ab", v.table)), "expected a Vocabulary, got SymbolTable"),
     ]
     for call, message in calls:
         with pytest.raises(ConfigError, match=message):
