@@ -10,6 +10,12 @@ records exist only in the view for callers. Two reserved ids appear on arcs:
 * FAILURE (input side only) consumes nothing and may be traversed only when
   the current input symbol matches no other arc of the state, or when the
   input is exhausted. At most one failure arc per state.
+
+Every operation that follows silent arcs (`determinize` and the maxmatch
+subset construction, `epsilon_remove`, `accepts`, `enumerate_language` and
+the failure chains of `compose`) does so through `_expansion`, which closes
+each state it reaches once and shares the closures between the sets of
+states it expands.
 """
 
 from __future__ import annotations
@@ -190,47 +196,265 @@ def _reach(roots: Iterable[int], edges: Mapping[int, Iterable[int]]) -> set[int]
     return seen
 
 
+# A walk keeps each state's closure, once made, in one of two forms. A
+# non-final state with no silent arcs is its own closure: its arcs, a
+# tuple. Any other closure is an entry, a list [final, moves, multi]:
+# whether it holds a final state, its labelled moves as label: frozenset of
+# raw targets, and whether some label has two targets. Closures are shared
+# between states and never changed once made.
+_NO_MOVES: dict[int, frozenset[int]] = {}
+
+
 def _expansion(t: Fst, side: int, merged: list | None = None):
     """The one walk over silent arcs. `expand(key)` closes a key of states
-    under the arcs whose label on `side` (0 input, 1 output) is EPSILON,
-    reading the stored arcs of the states it reaches and no others, and
+    under the arcs whose label on `side` (0 input, 1 output) is EPSILON and
     returns whether the closure holds a final state and its moves as (label,
     label, frozenset of the raw targets) triples sorted by label. Each key
-    in which a label led to two targets is appended to `merged`, if given."""
+    in which a label led to two targets is appended to `merged`, if given.
+
+    Each state is closed once, when a key first reaches it, and its closure
+    is kept for every later key: the walk reads the stored arcs of each
+    state it reaches once, and of no other. A state with no silent arcs is
+    its own closure. A link, a non-final state whose one arc is silent,
+    shares the closure of the state its chain of links ends in. Every other
+    state is closed by an iterative Tarjan walk (1972) over the silent arcs,
+    which gives each strongly connected component one entry once every
+    component it reaches has one, the order of Mohri's generic ε-removal
+    (2002): its members' labelled arcs united with the closures their
+    silent arcs lead to. A state with one contributor shares its entry; a
+    second contributor copies it. A key's expansion unites its states'
+    closures."""
     arcs_of, finals = t.arcs.get, t.finals
+    inputs = side == 0  # arcs are sorted, so ε inputs come first
+    label_of = itemgetter(side)
     # a label that reaches one target leads to that target's one shared
-    # key, whose hash `_discover` computes once
+    # key, whose hash `_discover` computes once. Every one-target set comes
+    # from here, so two distinct one-target sets hold two targets.
     singles: dict[int, frozenset[int]] = {}
     single_of = singles.get
+    closed: dict[int, tuple | list] = {}  # state: its closure
+    # link: the state it stands for while that state is on a walk's stack;
+    # -1 while its chain is followed
+    via: dict[int, int] = {}
+    # Tarjan's walk. A frame is [state, its arcs, the states that stand for
+    # its silent targets, the next of them, low link, its place on `stack`].
+    # `stack` holds the frames of the states walked and not yet closed;
+    # `index` numbers every state a walk framed, so a state in it and not
+    # in `closed` is on the stack.
+    index: dict[int, int] = {}
+    stack: list[list] = []
 
-    def expand(key: Iterable[int]) -> tuple[bool, list[tuple[int, int, frozenset[int]]]]:
-        seen = set(key)
-        stack = list(seen)
-        first: dict[int, int] = {}  # label: the first target it reached
-        more: dict[int, set[int]] = {}  # label: every target, once it reached two
-        while stack:
-            for arc in arcs_of(stack.pop(), ()):
-                label, dst = arc[side], arc[2]
+    def unite(final: bool, arcs: Iterable, closures: Iterable) -> list:
+        """The entry of the labelled `arcs` and `closures`, final iff
+        `final` or one of the closures is."""
+        moves = None
+        owned = multi = False
+        groups = [arcs]  # arcs to add once moves is owned
+        for closure in closures:
+            if type(closure) is tuple:
+                groups.append(closure)
+                continue
+            c_final, c_moves, c_multi = closure
+            final = final or c_final
+            multi = multi or c_multi
+            if not c_moves or c_moves is moves:
+                continue
+            if moves is None:
+                moves = c_moves
+                continue
+            if not owned:
+                moves, owned = dict(moves), True
+            for label, dsts in c_moves.items():
+                here = moves.setdefault(label, dsts)
+                if here is not dsts:
+                    multi = True
+                    moves[label] = here | dsts
+        for group in groups:
+            for arc in group:
+                label = arc[side]
                 if label == EPSILON:
-                    if dst not in seen:
-                        seen.add(dst)
-                        stack.append(dst)
-                elif first.setdefault(label, dst) != dst:
-                    more.setdefault(label, {first[label]}).add(dst)
-        if more and merged is not None:
-            merged.append(key)
-        moves = []
-        for label in sorted(first):
-            dsts = more.get(label)
-            if dsts is None:
-                dst = first[label]
+                    continue
+                if not owned:
+                    moves, owned = ({} if moves is None else dict(moves)), True
+                dst = arc[2]
                 target = single_of(dst)
                 if target is None:
                     target = singles[dst] = frozenset((dst,))
+                here = moves.setdefault(label, target)
+                if here is not target and dst not in here:
+                    multi = True
+                    moves[label] = here | target
+        return [final, _NO_MOVES if moves is None else moves, multi]
+
+    def close(root: int) -> tuple | list:
+        """Close root and every state its silent arcs reach; root's closure."""
+        frames: list[list] = []
+        w, w_arcs = root, arcs_of(root, ())
+        while True:
+            # w is new to every walk and w_arcs are its arcs: close it if
+            # it has no silent arcs, else follow the links from it on
+            chain = None
+            while True:
+                w_silent = None
+                if len(w_arcs) == 1:
+                    arc = w_arcs[0]
+                    if arc[side] != EPSILON:
+                        closed[w] = w_arcs if w not in finals else unite(True, w_arcs, ())
+                        break
+                    if w in finals:
+                        w_silent = [arc[2]]
+                        break
+                elif not w_arcs or (w_arcs[0][0] != EPSILON if inputs
+                                    else EPSILON not in map(label_of, w_arcs)):
+                    closed[w] = w_arcs if w not in finals else unite(True, w_arcs, ())
+                    break
+                else:
+                    w_silent = []
+                    for arc in w_arcs:
+                        if arc[side] == EPSILON:
+                            w_silent.append(arc[2])
+                    break
+                # w is a link
+                if chain is None:
+                    chain = [w]
+                else:
+                    chain.append(w)
+                via[w] = -1
+                w = w_arcs[0][2]
+                if w in closed or w in index:
+                    break
+                x = via.get(w)
+                if x is not None:
+                    if x < 0:  # a cycle of links, which reaches nothing
+                        closed[w] = [False, _NO_MOVES, False]
+                    else:
+                        w = x
+                    break
+                w_arcs = arcs_of(w, ())
+            if chain is not None:
+                closure = closed.get(w)
+                for link in chain:
+                    if closure is None:
+                        via[link] = w
+                    else:
+                        del via[link]
+                        closed[link] = closure
+            if frames:
+                frame = frames[-1]
+                frame[2][frame[3] - 1] = w  # the target now names what stands for it
+            if w_silent is not None:
+                frame = [w, w_arcs, w_silent, 0, len(index), len(stack)]
+                index[w] = frame[4]
+                frames.append(frame)
+                stack.append(frame)
+            elif w not in closed and index[w] < frame[4]:  # w is on the stack
+                frame[4] = index[w]
+            # on to the next new state, closing the frames that have none left
+            while frames:
+                frame = frames[-1]
+                v, v_arcs, silent, i, low, place = frame
+                for i in range(i, len(silent)):
+                    w = silent[i]
+                    if w in closed:
+                        continue
+                    w_index = index.get(w)
+                    if w_index is None:
+                        x = via.get(w)
+                        if x is None:
+                            w_arcs = arcs_of(w, ())
+                            if (len(w_arcs) == 1 and w_arcs[0][side] != EPSILON
+                                    and w not in finals):
+                                closed[w] = w_arcs  # the usual new state, closed here
+                                continue
+                            frame[3] = i + 1
+                            frame[4] = low
+                            break
+                        w = silent[i] = x
+                        if w in closed:
+                            continue
+                        w_index = index[w]
+                    if w_index < low:
+                        low = w_index
+                else:
+                    frames.pop()
+                    if low < index[v]:
+                        parent = frames[-1]
+                        if low < parent[4]:
+                            parent[4] = low
+                        continue
+                    # v roots a component: the frames from its own up,
+                    # whose silent arcs lead to members or to closed states
+                    if place == len(stack) - 1:
+                        stack.pop()
+                        closures = []
+                        for w in silent:
+                            if w != v:
+                                closures.append(closed[w])
+                        own = v_arcs if len(silent) < len(v_arcs) else ()
+                        if (len(closures) == 1 and not own and type(closures[0]) is list
+                                and (closures[0][0] or v not in finals)):
+                            closed[v] = closures[0]
+                        else:
+                            closed[v] = unite(v in finals, own, closures)
+                        continue
+                    members = stack[place:]
+                    del stack[place:]
+                    final = not finals.isdisjoint([m[0] for m in members])
+                    entry = unite(final, [arc for m in members for arc in m[1]],
+                                  [closed[w] for m in members for w in m[2] if w in closed])
+                    for m in members:
+                        closed[m[0]] = entry
+                    continue
+                break
             else:
-                target = frozenset(dsts)
-            moves.append((label, label, target))
-        return not finals.isdisjoint(seen), moves
+                # the walk is over: the links that stood for states on the
+                # stack share their closures now
+                if via:
+                    for link, x in via.items():
+                        closed[link] = closed[x]
+                    via.clear()
+                return closed[root]
+
+    def expand(key: Iterable[int]) -> tuple[bool, list[tuple[int, int, frozenset[int]]]]:
+        closures = []
+        plain = True  # whether every closure is a state's arcs
+        for q in key:
+            closure = closed.get(q)
+            if closure is None:
+                closure = close(q)
+            closures.append(closure)
+            plain = plain and type(closure) is tuple
+        out = []  # loops, not comprehensions: most lists here are short
+        if plain:
+            # arcs of non-final states with no silent arcs: the moves
+            final = False
+            first: dict[int, int] = {}  # label: the first target it reached
+            more = None  # label: every target, once it reached two
+            for closure in closures:
+                for arc in closure:
+                    label, dst = arc[side], arc[2]
+                    if first.setdefault(label, dst) != dst:
+                        if more is None:
+                            more = {}
+                        more.setdefault(label, {first[label]}).add(dst)
+            multi = more is not None
+            for label in sorted(first):
+                dsts = more.get(label) if multi else None
+                if dsts is None:
+                    dst = first[label]
+                    target = single_of(dst)
+                    if target is None:
+                        target = singles[dst] = frozenset((dst,))
+                else:
+                    target = frozenset(dsts)
+                out.append((label, label, target))
+        else:
+            final, moves, multi = closures[0] if len(closures) == 1 else unite(False, (), closures)
+            for label in sorted(moves):
+                out.append((label, label, moves[label]))
+        if multi and merged is not None:
+            merged.append(key)
+        return final, out
 
     return expand
 

@@ -678,6 +678,103 @@ def reference_enumerate(a: Fst, max_len: int, max_paths: int = 1_000_000) -> set
 
 
 # ---------------------------------------------------------------------------
+# the per-key closure walk `fst._expansion` replaced
+
+
+def reference_expansion(t: Fst, side: int, merged: list | None = None):
+    """`fst._expansion` as it was before it kept closures: `expand(key)`
+    walks the key's closure over the arcs that are ε on `side` afresh, and
+    returns its finality and its (label, label, frozenset of targets) moves
+    sorted by label, appending to `merged` each key in which a label led to
+    two targets."""
+
+    def expand(key):
+        seen = set(key)
+        stack = list(seen)
+        targets: dict[int, set[int]] = {}
+        while stack:
+            for arc in t.arcs.get(stack.pop(), ()):
+                label, dst = arc[side], arc[2]
+                if label != EPSILON:
+                    targets.setdefault(label, set()).add(dst)
+                elif dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        if merged is not None and any(len(dsts) > 1 for dsts in targets.values()):
+            merged.append(key)
+        moves = [(label, label, frozenset(targets[label])) for label in sorted(targets)]
+        return not t.finals.isdisjoint(seen), moves
+
+    return expand
+
+
+def reference_output_subsets(t: Fst) -> tuple[Dfa, bool]:
+    """`_output_subsets` through `reference_expansion`: the same subset
+    construction, numbering included, with each key walked afresh."""
+    merged: list = []
+    return _discover(Dfa, t.table, frozenset([t.start]), reference_expansion(t, 1, merged)), not merged
+
+
+def reference_epsilon_remove(a: Fst) -> Fst:
+    """`epsilon_remove` through `reference_expansion`: each state with arcs
+    takes the finality and labelled arcs of its walked closure."""
+    expand = reference_expansion(a, 0)
+    arcs, finals = {}, set(a.finals)
+    for q in a.arcs:
+        final, moves = expand((q,))
+        if final:
+            finals.add(q)
+        q_arcs = tuple((label, label, dst) for label, _, dsts in moves for dst in sorted(dsts))
+        if q_arcs:
+            arcs[q] = q_arcs
+    return Fst._trusted(a.table, a.num_states, a.start, frozenset(finals), arcs)
+
+
+def random_cyclic_machine(rng: random.Random, table: SymbolTable, max_states: int = 30) -> Fst:
+    """A φ-free machine of 8 to `max_states` states with planted silent
+    structure: ε-cycles of two to six states, a cycle nested inside a larger
+    one, and a chain of 8 to 15 ε arcs, then random labelled and silent arcs.
+    An acceptor, or a transducer whose planted arcs are silent on one side
+    or on both. Start and finals are random."""
+    syms = sorted(table.token_ids())
+    n = rng.randint(8, max_states)
+    acceptor = rng.random() < 0.5
+    pairs = []  # (src, dst) of the planted silent arcs
+    for _ in range(rng.randint(1, 2)):
+        ring = rng.sample(range(n), rng.randint(2, min(6, n)))
+        pairs += zip(ring, ring[1:] + ring[:1])
+    outer = rng.sample(range(n), rng.randint(4, min(8, n)))
+    pairs += zip(outer, outer[1:] + outer[:1])
+    i, j = sorted(rng.sample(range(len(outer)), 2))
+    pairs.append((outer[j], outer[i]))  # a shorter cycle inside the outer one
+    chain = rng.sample(range(n), min(n, rng.randint(9, 16)))
+    pairs += zip(chain, chain[1:])
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n // 4))]
+    arcs = []
+    for src, dst in pairs:
+        if acceptor:
+            arcs.append(Transition(src, EPSILON, EPSILON, dst))
+        else:
+            sym = rng.choice(syms)
+            inp, out = rng.choice([(EPSILON, EPSILON), (EPSILON, sym), (sym, EPSILON)])
+            arcs.append(Transition(src, inp, out, dst))
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        sym = rng.choice(syms)
+        out = sym if acceptor else rng.choice([EPSILON, *syms])
+        arcs.append(Transition(rng.randrange(n), sym, out, rng.randrange(n)))
+    finals = frozenset(q for q in range(n) if rng.random() < 0.2)
+    return Fst(table, n, rng.randrange(n), finals, set(arcs))
+
+
+def largest_silent_component(t: Fst, side: int) -> int:
+    """The size of the largest set of states that reach each other over
+    arcs that are ε on `side` (0 input, 1 output)."""
+    walked = t if side == 0 else project_output(t)
+    reach = {q: _closed(walked, [q]) for q in range(t.num_states)}
+    return max(sum(1 for r in reach[q] if q in reach[r]) for q in range(t.num_states))
+
+
+# ---------------------------------------------------------------------------
 # the composition walk whose keys carried string tags
 
 

@@ -1,6 +1,8 @@
 """Core machine operations, checked against brute-force path enumeration."""
 
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -23,10 +25,13 @@ from tokfst import (
     minimize,
     project_output,
     promote_agnostic,
+    promote_maxmatch,
     trim,
 )
 from tokfst.errors import ConfigError, TokfstError, ValidationError
 from tokfst.fst import _output_subsets
+from tokfst.pattern import _Compiler
+from tokfst.tokenizers import bpe_train
 from tokfst.lexicon import (
     build_failure_trie,
     build_maxmatch_transducer,
@@ -37,8 +42,11 @@ from tokfst.lexicon import (
 from helpers import (
     checked_arcs,
     enumerate_pairs,
+    identifiers,
+    largest_silent_component,
     line_dfa,
     minimal_state_count,
+    random_cyclic_machine,
     random_partial_dfa,
     random_pattern_dfa,
     random_silent_machine,
@@ -46,6 +54,8 @@ from helpers import (
     reference_accepts,
     reference_compose,
     reference_enumerate,
+    reference_epsilon_remove,
+    reference_output_subsets,
 )
 
 AB = SymbolTable(["a", "b"])
@@ -724,3 +734,117 @@ def test_determinize_requires_clean_acceptor():
     transducer = Fst(AB, 2, 0, frozenset({1}), (Transition(0, A, B, 1),))
     with pytest.raises(ConfigError, match="expects an acceptor"):
         determinize(transducer)
+
+
+# ---------------------------------------------------------------------------
+# closures kept per state
+
+
+def test_closure_walks_on_cyclic_silent_graphs():
+    """Every walk over silent arcs against the per-key reference walk and the
+    stepped closure walks, on 600 seeded machines of up to 30 states with
+    planted ε-cycles, nested cycles and long ε-chains: `determinize`,
+    `epsilon_remove` and `_output_subsets` state for state, `accepts` and
+    `enumerate_language` by their answers, and the output side by the
+    operator chain's language."""
+    table = SymbolTable(["a", "b", "c"])
+    syms = sorted(table.token_ids())
+    rng = random.Random(34)
+    acceptors = wide = 0
+    for _ in range(600):
+        m = random_cyclic_machine(rng, table)
+        wide += max(largest_silent_component(m, 0), largest_silent_component(m, 1)) >= 3
+        max_paths = rng.choice([8, 40, 1_000_000])
+        got = _enumerated(enumerate_language, m, 4, max_paths)
+        assert got == _enumerated(reference_enumerate, m, 4, max_paths), m
+        language = reference_enumerate(m, 4)
+        seqs = [tuple(rng.choices(syms, k=rng.randint(0, 4))) for _ in range(4)]
+        seqs += rng.sample(sorted(language), min(4, len(language)))
+        for seq in seqs:
+            assert accepts(m, seq) == reference_accepts(m, seq), (m, seq)
+        walked = _output_subsets(m)
+        assert walked == reference_output_subsets(m), m
+        chained = minimize(determinize(epsilon_remove(project_output(m))))
+        assert canonical_form(minimize(walked[0])) == canonical_form(chained)
+        if all(t.inp == t.out for t in m.transitions):
+            acceptors += 1
+            assert determinize(m) == reference_output_subsets(m)[0]
+            removed = epsilon_remove(m)
+            assert removed == reference_epsilon_remove(m), m
+            assert reference_enumerate(removed, 4) == language
+    assert acceptors > 250 and wide > 550
+
+
+@pytest.fixture(scope="module")
+def heavy_compositions():
+    """The pattern DFAs `(get|set)_[L]+` and `(user|item|node)_[L]+`, L the
+    letters of a 400-merge tokenizer, each composed with its longest-match
+    transducer: the shape of the heavy maxmatch promotions."""
+    v = bpe_train(identifiers(1, 2000), 400).vocab
+    letters = "".join(t for t in v.table.tokens if len(t) == 1 and t.isalpha())
+    maxmatch = vocab_machine(v, "maxmatch", lambda: build_maxmatch_transducer(build_failure_trie(v)))
+    out = []
+    for words in ("get|set", "user|item|node"):
+        d = compile_pattern(f"({words})_[{letters}]+", v.table)
+        out.append((d, v, maxmatch, compose(d, maxmatch)))
+    return out
+
+
+def test_heavy_maxmatch_promotions_match_the_operator_chain(heavy_compositions):
+    """On the heavy shape, where keys share most of their closures, the
+    promotion equals the operator chain, and its one subset walk equals the
+    per-key walk state for state."""
+    assert [c.num_states for _, _, _, c in heavy_compositions] == [249, 300]
+    for d, v, maxmatch, c in heavy_compositions:
+        walked = _output_subsets(c)
+        assert walked == reference_output_subsets(c)
+        chained = determinize(epsilon_remove(project_output(compose(d, maxmatch))))
+        assert promote_maxmatch(d, v).dfa == canonical_form(minimize(chained))
+
+
+class _CountedGets(dict):
+    """An arc store that counts the `get` calls made for each state."""
+
+    def __init__(self, arcs):
+        super().__init__(arcs)
+        self.reads = Counter()
+
+    def get(self, q, default=None):
+        self.reads[q] += 1
+        return dict.get(self, q, default)
+
+
+def test_one_walk_reads_each_state_once(heavy_compositions):
+    """One `_output_subsets` of a heavy composition, and one `determinize`
+    of a Thompson machine, read each state's stored arcs at most once."""
+    table = SymbolTable(["a", "b", "c"])
+    thompson = [_Compiler(text, table).compile()
+                for text in ("(a|b)*a(a|b)(a|b)(a|b)", "((a|b|)*(|ab)*)*", "(ab|a)*(b|c)+(a|)*")]
+    for m, walk in ([(c, _output_subsets) for *_, c in heavy_compositions]
+                    + [(nfa, determinize) for nfa in thompson]):
+        store = _CountedGets(m.arcs)
+        counted = Fst._trusted(m.table, m.num_states, m.start, m.finals, store)
+        assert walk(counted) == walk(m)
+        assert max(store.reads.values()) == 1, walk.__name__
+
+
+def test_deep_silent_chain_and_cycle():
+    """A 10,000-state ε-chain and a 10,000-state ε-cycle, each with one
+    labelled arc: every walk over them is iterative and finishes in well
+    under two seconds."""
+    n = 10_000
+    chain = [(q, EPSILON, EPSILON, q + 1) for q in range(n - 1)] + [(n - 1, A, A, 0)]
+    cycle = [(q, EPSILON, EPSILON, (q + 1) % n) for q in range(n)] + [(0, A, A, n // 2)]
+    for rows in (chain, cycle):
+        m = Fst(AB, n, 0, {n - 1}, rows)
+        removed = Fst(AB, n, 0, range(n), [(q, A, A, rows[-1][3]) for q in range(n)])
+        for op, check in (
+            (determinize, lambda d: minimize(d) == Dfa(AB, 1, 0, {0}, [(0, A, A, 0)])),
+            (epsilon_remove, lambda r: r == removed),
+            (lambda m: accepts(m, [A] * 5), lambda accepted: accepted),
+            (lambda m: enumerate_language(m, 2), lambda seqs: seqs == {(), (A,), (A, A)}),
+        ):
+            started = time.perf_counter()
+            result = op(m)
+            assert time.perf_counter() - started < 2
+            assert check(result)
