@@ -45,7 +45,7 @@ from tokfst import (
     promote_bpe,
     trim,
 )
-from tokfst.fst import _discover, _expansion, _failure_free, _output_subsets
+from tokfst.fst import _discover, _failure_free, _output_subsets
 from tokfst.lexicon import TokenTrie, build_token_trie
 from tokfst.tokenizers import _merge_pass
 from tokfst.symbols import RESERVED
@@ -784,7 +784,7 @@ def reference_compose(left: Fst, right: Fst) -> Fst:
     left target spliced in by slicing the key. Keys are discovered in the
     same order, so the result must equal `compose`'s, numbering included."""
     r_moves = right._moves
-    emitting = _expansion(left, 1)
+    emitting = reference_expansion(left, 1)
     ahead: dict[int, tuple[set[int], bool]] = {}
 
     def chain_viable(l: int, r: int, blocked: frozenset[int]) -> bool:

@@ -744,9 +744,9 @@ def test_closure_walks_on_cyclic_silent_graphs():
     """Every walk over silent arcs against the per-key reference walk and the
     stepped closure walks, on 600 seeded machines of up to 30 states with
     planted ε-cycles, nested cycles and long ε-chains: `determinize`,
-    `epsilon_remove` and `_output_subsets` state for state, `accepts` and
-    `enumerate_language` by their answers, and the output side by the
-    operator chain's language."""
+    `epsilon_remove`, `_output_subsets` and `compose` with the machine on
+    the left state for state, `accepts` and `enumerate_language` by their
+    answers, and the output side by the operator chain's language."""
     table = SymbolTable(["a", "b", "c"])
     syms = sorted(table.token_ids())
     rng = random.Random(34)
@@ -764,6 +764,8 @@ def test_closure_walks_on_cyclic_silent_graphs():
             assert accepts(m, seq) == reference_accepts(m, seq), (m, seq)
         walked = _output_subsets(m)
         assert walked == reference_output_subsets(m), m
+        right = random_silent_machine(rng, table)  # φ arcs read through m's silent outputs
+        assert compose(m, right) == reference_compose(m, right), (m, right)
         chained = minimize(determinize(epsilon_remove(project_output(m))))
         assert canonical_form(minimize(walked[0])) == canonical_form(chained)
         if all(t.inp == t.out for t in m.transitions):
