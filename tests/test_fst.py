@@ -16,6 +16,7 @@ from tokfst import (
     Transition,
     Vocabulary,
     accepts,
+    bpe_train,
     canonical_form,
     compile_pattern,
     compose,
@@ -30,14 +31,13 @@ from tokfst import (
 )
 from tokfst.errors import ConfigError, TokfstError, ValidationError
 from tokfst.fst import _output_subsets
-from tokfst.pattern import _Compiler
-from tokfst.tokenizers import bpe_train
 from tokfst.lexicon import (
     build_failure_trie,
     build_maxmatch_transducer,
     build_merge_gadget,
     vocab_machine,
 )
+from tokfst.pattern import _Compiler
 
 from helpers import (
     checked_arcs,
